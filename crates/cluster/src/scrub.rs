@@ -24,10 +24,6 @@ pub struct ScrubFindings {
     pub scanned: u64,
     /// Objects that verified clean on first read.
     pub clean: u64,
-    /// Legacy (pre-envelope) objects found.
-    pub legacy_found: u64,
-    /// Legacy objects upgraded to the enveloped format in place.
-    pub upgraded: u64,
     /// Objects whose envelope failed verification.
     pub corrupt_detected: u64,
     /// Corrupt objects healed from a replica and written back.
@@ -46,8 +42,6 @@ impl ScrubFindings {
     pub fn accumulate(&mut self, other: ScrubFindings) {
         self.scanned += other.scanned;
         self.clean += other.clean;
-        self.legacy_found += other.legacy_found;
-        self.upgraded += other.upgraded;
         self.corrupt_detected += other.corrupt_detected;
         self.repaired += other.repaired;
         self.unrepairable += other.unrepairable;

@@ -190,8 +190,8 @@ impl DeltaRecord {
         encode_scheme(&mut buf, &self.scheme);
         buf.put_u16_le(self.chunks.len() as u16);
         for chunk in &self.chunks {
-            // ChunkPayload::decode consumes a whole buffer, so embedded
-            // chunks are length-prefixed.
+            // Chunk payloads are exact (no trailing bytes), so embedded
+            // chunks are length-prefixed. The WAL frame's CRC covers them.
             let encoded = chunk.encode();
             buf.put_u32_le(encoded.len() as u32);
             buf.extend_from_slice(&encoded);
@@ -219,7 +219,7 @@ impl DeltaRecord {
             if b.len() < len {
                 return Err(CnrError::Corrupt("delta chunk truncated".into()));
             }
-            chunks.push(ChunkPayload::decode(&b[..len])?);
+            chunks.push(ChunkPayload::decode_payload(&b[..len])?);
             *b = &b[len..];
         }
         let bottom_mlp = wire::get_f32s(b)?;

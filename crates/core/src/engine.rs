@@ -579,8 +579,8 @@ impl Engine {
     }
 
     /// Runs one background scrub sweep over every live checkpoint object:
-    /// verifies each envelope, upgrades legacy (pre-envelope) objects in
-    /// place, and heals damaged objects — by re-reading the primary (a
+    /// verifies each object's envelope and heals damaged objects — those
+    /// without an envelope included — by re-reading the primary (a
     /// different replica serves the retry) and, when `replica` is given,
     /// from that replica store. Findings are recorded into the run stats
     /// and, when scrubbing is scheduled ([`EngineBuilder::scrub_every`]),
@@ -593,7 +593,7 @@ impl Engine {
         let mut scrubber = Scrubber::new(self.store.as_ref()).with_obs(self.obs.clone());
         if let Some(lazy) = &self.pending_lazy {
             // A lazy restore's on-demand fault-ins read the same objects a
-            // sweep would rewrite (legacy upgrade / heal): skip keys with
+            // sweep would rewrite when healing: skip keys with
             // in-flight fetches so the sweep never races a fault-in.
             scrubber = scrubber.with_in_flight(lazy.pending_keys());
         }
@@ -1626,7 +1626,6 @@ mod tests {
         assert!(findings.scanned > 0, "live objects were swept");
         assert_eq!(findings.clean, findings.scanned, "fresh writes verify clean");
         assert_eq!(findings.corrupt_detected, 0);
-        assert_eq!(findings.legacy_found, 0, "writers emit enveloped objects");
         assert_eq!(e.stats().scrubs.len(), 1);
         assert_eq!(e.stats().scrub_totals(), findings);
     }

@@ -4,18 +4,21 @@
 //! store. The manifest is self-describing: identity, kind (full or
 //! incremental), the base pointer for chain restoration, quantization
 //! scheme, model geometry, the (tiny) MLP parameters inline, the reader
-//! state, and the list of chunk keys with checksums. Chunks carry batches of
-//! embedding rows: indices, optional optimizer state, and quantized
-//! payloads. Everything is checksummed (see [`crate::wire`]).
+//! state, and the list of chunk keys with their sizes. Chunks carry batches
+//! of embedding rows: indices, optional optimizer state, and quantized
+//! payloads.
 //!
-//! **Wire versions.** From wire v3 on, every *stored* object — manifest
-//! and chunk alike — is wrapped in the self-describing checksummed
-//! envelope of [`cnr_storage::envelope`] (magic `CNR3`, CRC-32 over the
-//! payload). The payload inside the envelope is the unchanged v2
-//! encoding, so migration is sniffing: [`Manifest::decode`] and
-//! [`ChunkPayload::decode`] accept both enveloped (v3) and bare legacy
-//! (v2) bytes, while the write path emits v3 only (via
-//! [`Manifest::encode_enveloped`] / [`ChunkPayload::encode_enveloped`]).
+//! **Stored format.** Every stored object — manifest and chunk alike — is
+//! the codec bytes wrapped in the checksummed envelope of
+//! [`cnr_storage::envelope`] (magic `CNR3`, CRC-32 over header and
+//! payload). The envelope is the only integrity check: the codecs below
+//! carry no checksum of their own, and [`Manifest::decode`] /
+//! [`ChunkPayload::decode`] reject any object without a valid envelope as
+//! [`CnrError::Corrupt`]. A reader that has already verified the envelope
+//! (the restore fetch scheduler does, to decide whether to refetch) parses
+//! the payload directly with [`ChunkPayload::decode_payload`] instead of
+//! checksumming it twice. The write path stores
+//! [`Manifest::encode_enveloped`] / [`ChunkPayload::encode_enveloped`].
 
 use crate::error::{CnrError, Result};
 use crate::wire;
@@ -68,23 +71,23 @@ pub struct ChunkMeta {
     pub bytes: u64,
     /// Multipart parts the chunk was uploaded in (1 = single part).
     pub parts: u32,
-    /// Table the chunk's rows belong to ([`ChunkMeta::UNKNOWN_TABLE`] for
-    /// manifests written before wire v3, which did not record row ranges).
+    /// Table the chunk's rows belong to ([`ChunkMeta::UNKNOWN_TABLE`] when
+    /// the range is not recorded).
     pub table: u16,
-    /// Lowest row index in the chunk (wire v3; `u32::MAX` when unknown).
+    /// Lowest row index in the chunk (`u32::MAX` when unknown).
     pub first_row: u32,
-    /// Highest row index in the chunk (wire v3; `u32::MAX` when unknown).
+    /// Highest row index in the chunk (`u32::MAX` when unknown).
     pub last_row: u32,
 }
 
 impl ChunkMeta {
-    /// Sentinel `table` value for pre-v3 manifests that did not record
-    /// which table/rows a chunk covers.
+    /// Sentinel `table` value for a chunk whose table/row range is not
+    /// recorded.
     pub const UNKNOWN_TABLE: u16 = u16::MAX;
 
     /// The `(table, first_row..=last_row)` range this chunk covers, when
-    /// the manifest recorded it (wire v3+). Priority planning needs this to
-    /// rank chunks by access heat; pre-v3 chunks rank conservatively hot.
+    /// recorded. Priority planning needs this to rank chunks by access
+    /// heat; unranked chunks rank conservatively hot.
     pub fn row_range(&self) -> Option<(u16, u32, u32)> {
         (self.table != Self::UNKNOWN_TABLE).then_some((self.table, self.first_row, self.last_row))
     }
@@ -140,18 +143,29 @@ pub struct Manifest {
 }
 
 const MAGIC: u32 = 0x434E_524D; // "CNRM"
-/// Current manifest body version. v3 added per-chunk row ranges
-/// (`table`/`first_row`/`last_row`) so the read planner can rank chunks by
-/// access heat; v2 bodies still decode, with those fields set to their
-/// unknown sentinels.
+/// Manifest body version (the layout of the fields after magic + version).
 const VERSION: u16 = 3;
-const VERSION_V2: u16 = 2;
 
-/// Strips (and verifies) a v3 envelope when present; legacy bytes pass
-/// through untouched. Every decode path funnels through this, so a
-/// corrupt envelope surfaces as [`CnrError::Corrupt`] at every read site.
-fn open_envelope(data: &[u8]) -> Result<&[u8]> {
-    envelope::open(data).map_err(|e| CnrError::Corrupt(e.to_string()))
+/// Verifies a stored object's envelope and returns its payload. Every
+/// decode of stored bytes funnels through this, so a missing or corrupt
+/// envelope surfaces as [`CnrError::Corrupt`] at every read site.
+fn unwrap_envelope(stored: &[u8]) -> Result<&[u8]> {
+    envelope::unwrap(stored)
+        .map(|(_, payload)| payload)
+        .map_err(|e| CnrError::Corrupt(e.to_string()))
+}
+
+/// Rejects bytes left over after a complete decode: codec payloads are
+/// exact, so extra bytes mean a malformed object.
+fn expect_consumed(rest: &[u8], what: &str) -> Result<()> {
+    if rest.is_empty() {
+        Ok(())
+    } else {
+        Err(CnrError::Corrupt(format!(
+            "{} trailing bytes after {what}",
+            rest.len()
+        )))
+    }
 }
 
 impl Manifest {
@@ -168,9 +182,11 @@ impl Manifest {
         format!("{job}/{id}/shard-{shard:05}-chunk-{seq:06}")
     }
 
-    /// Serializes the manifest (framed + checksummed).
+    /// Serializes the manifest payload (the bytes inside the envelope).
     pub fn encode(&self) -> Vec<u8> {
         let mut body = Vec::new();
+        body.put_u32_le(MAGIC);
+        body.put_u16_le(VERSION);
         body.put_u64_le(self.id.0);
         body.put_u8(match self.kind {
             CheckpointKind::Full => 0,
@@ -208,38 +224,34 @@ impl Manifest {
             body.put_u32_le(s.parts);
         }
         body.put_u64_le(self.payload_bytes);
-
-        let mut out = Vec::with_capacity(body.len() + 32);
-        out.put_u32_le(MAGIC);
-        out.put_u16_le(VERSION);
-        wire::put_framed(&mut out, &body);
-        out
+        body
     }
 
-    /// Serializes the manifest wrapped in the v3 storage envelope — the
-    /// bytes the write path actually stores.
+    /// Serializes the manifest wrapped in the storage envelope — the bytes
+    /// the write path actually stores.
     pub fn encode_enveloped(&self) -> Vec<u8> {
         envelope::wrap_with_flags(&self.encode(), envelope::FLAG_MANIFEST)
     }
 
-    /// Parses and verifies a serialized manifest: v3 (enveloped) or bare
-    /// legacy v2 bytes.
-    pub fn decode(data: &[u8]) -> Result<Self> {
-        let mut data = open_envelope(data)?;
-        let buf = &mut data;
-        let magic = wire::get_u32(buf)?;
+    /// Verifies a stored manifest's envelope and parses its payload.
+    pub fn decode(stored: &[u8]) -> Result<Self> {
+        Self::decode_payload(unwrap_envelope(stored)?)
+    }
+
+    /// Parses a manifest payload whose envelope was already verified.
+    pub fn decode_payload(payload: &[u8]) -> Result<Self> {
+        let mut slice = payload;
+        let b = &mut slice;
+        let magic = wire::get_u32(b)?;
         if magic != MAGIC {
             return Err(CnrError::Corrupt(format!("bad manifest magic {magic:#x}")));
         }
-        let version = wire::get_u16(buf)?;
-        if version != VERSION && version != VERSION_V2 {
+        let version = wire::get_u16(b)?;
+        if version != VERSION {
             return Err(CnrError::Corrupt(format!(
                 "unsupported manifest version {version}"
             )));
         }
-        let body = wire::get_framed(buf)?;
-        let mut slice = body.as_slice();
-        let b = &mut slice;
 
         let id = CheckpointId(wire::get_u64(b)?);
         let kind = match wire::get_u8(b)? {
@@ -264,29 +276,23 @@ impl Manifest {
         let bottom_mlp = wire::get_f32s(b)?;
         let top_mlp = wire::get_f32s(b)?;
         let chunk_count = wire::get_u32(b)? as usize;
-        let mut chunks = Vec::with_capacity(chunk_count);
+        // Counts come from the payload: never reserve more than it could hold.
+        let mut chunks = Vec::with_capacity(chunk_count.min(b.len()));
         for _ in 0..chunk_count {
             let key = wire::get_string(b)?;
             let shard = wire::get_u16(b)?;
             let rows = wire::get_u32(b)?;
             let bytes = wire::get_u64(b)?;
             let parts = wire::get_u32(b)?;
-            // v2 manifests did not record row ranges; leave the sentinels
-            // so priority planning treats the chunk as unranked.
-            let (table, first_row, last_row) = if version >= VERSION {
-                (wire::get_u16(b)?, wire::get_u32(b)?, wire::get_u32(b)?)
-            } else {
-                (ChunkMeta::UNKNOWN_TABLE, u32::MAX, u32::MAX)
-            };
             chunks.push(ChunkMeta {
                 key,
                 shard,
                 rows,
                 bytes,
                 parts,
-                table,
-                first_row,
-                last_row,
+                table: wire::get_u16(b)?,
+                first_row: wire::get_u32(b)?,
+                last_row: wire::get_u32(b)?,
             });
         }
         let shard_count = wire::get_u16(b)? as usize;
@@ -301,6 +307,7 @@ impl Manifest {
             });
         }
         let payload_bytes = wire::get_u64(b)?;
+        expect_consumed(b, "manifest")?;
 
         Ok(Self {
             id,
@@ -318,10 +325,14 @@ impl Manifest {
         })
     }
 
-    /// Total bytes of this checkpoint as stored (manifest + chunks). The
-    /// manifest is stored enveloped, so the envelope header is included.
+    /// Size of the stored manifest object, envelope header included.
+    pub fn stored_len(&self) -> u64 {
+        (envelope::HEADER_LEN + self.encode().len()) as u64
+    }
+
+    /// Total bytes of this checkpoint as stored (manifest + chunks).
     pub fn total_bytes(&self) -> u64 {
-        self.payload_bytes + self.encode_enveloped().len() as u64
+        self.payload_bytes + self.stored_len()
     }
 }
 
@@ -339,7 +350,7 @@ pub struct ChunkPayload {
 }
 
 impl ChunkPayload {
-    /// Serializes the chunk (framed + checksummed).
+    /// Serializes the chunk payload (the bytes inside the envelope).
     ///
     /// The per-row fixed header (kind/bits/dim) is hoisted to chunk level —
     /// every row of a chunk shares one scheme and one table geometry, and at
@@ -380,23 +391,25 @@ impl ChunkPayload {
         for row in &self.rows {
             row.encode_body_into(&mut body);
         }
-        let mut out = Vec::with_capacity(body.len() + 16);
-        wire::put_framed(&mut out, &body);
-        out
+        body
     }
 
-    /// Serializes the chunk wrapped in the v3 storage envelope — the
-    /// bytes the write path actually stores.
+    /// Serializes the chunk wrapped in the storage envelope — the bytes
+    /// the write path actually stores.
     pub fn encode_enveloped(&self) -> Vec<u8> {
         envelope::wrap(&self.encode())
     }
 
-    /// Parses and verifies a serialized chunk: v3 (enveloped) or bare
-    /// legacy v2 bytes.
-    pub fn decode(data: &[u8]) -> Result<Self> {
-        let mut data = open_envelope(data)?;
-        let body = wire::get_framed(&mut data)?;
-        let mut slice = body.as_slice();
+    /// Verifies a stored chunk's envelope and parses its payload.
+    pub fn decode(stored: &[u8]) -> Result<Self> {
+        Self::decode_payload(unwrap_envelope(stored)?)
+    }
+
+    /// Parses a chunk payload whose integrity was already established —
+    /// by a verified envelope, or by the CRC of the WAL frame embedding
+    /// it. Malformed input is still a typed error, never a panic.
+    pub fn decode_payload(payload: &[u8]) -> Result<Self> {
+        let mut slice = payload;
         let b = &mut slice;
         let table = wire::get_u16(b)?;
         let count = wire::get_u32(b)? as usize;
@@ -404,12 +417,13 @@ impl ChunkPayload {
         let tag = wire::get_u8(b)?;
         let bits = wire::get_u8(b)?;
         let dim = wire::get_u16(b)? as usize;
-        let mut row_indices = Vec::with_capacity(count);
+        // `count` comes from the payload: never reserve more than it could hold.
+        let mut row_indices = Vec::with_capacity(count.min(b.len() / 4));
         for _ in 0..count {
             row_indices.push(wire::get_u32(b)?);
         }
         let optimizer_state = if has_acc {
-            let mut acc = Vec::with_capacity(count);
+            let mut acc = Vec::with_capacity(count.min(b.len() / 4));
             for _ in 0..count {
                 if b.len() < 4 {
                     return Err(CnrError::Corrupt("chunk optimizer state truncated".into()));
@@ -423,10 +437,11 @@ impl ChunkPayload {
         } else {
             None
         };
-        let mut rows = Vec::with_capacity(count);
+        let mut rows = Vec::with_capacity(count.min(b.len()));
         for _ in 0..count {
             rows.push(QuantizedRow::decode_body_from(b, tag, bits, dim)?);
         }
+        expect_consumed(b, "chunk")?;
         Ok(Self {
             table,
             row_indices,
@@ -565,9 +580,9 @@ mod tests {
     #[test]
     fn manifest_roundtrip() {
         let m = sample_manifest();
-        let bytes = m.encode();
-        let back = Manifest::decode(&bytes).unwrap();
-        assert_eq!(m, back);
+        assert_eq!(Manifest::decode(&m.encode_enveloped()).unwrap(), m);
+        assert_eq!(Manifest::decode_payload(&m.encode()).unwrap(), m);
+        assert_eq!(m.chunks[1].row_range(), Some((1, 400, 499)));
     }
 
     #[test]
@@ -581,70 +596,8 @@ mod tests {
         ] {
             let mut m = sample_manifest();
             m.scheme = scheme;
-            assert_eq!(Manifest::decode(&m.encode()).unwrap().scheme, scheme);
+            assert_eq!(Manifest::decode(&m.encode_enveloped()).unwrap().scheme, scheme);
         }
-    }
-
-    /// Re-encodes a manifest with the pre-v3 body layout (no per-chunk row
-    /// ranges) so the dual-version decode path stays covered without
-    /// golden files.
-    fn encode_v2(m: &Manifest) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.put_u64_le(m.id.0);
-        body.put_u8(match m.kind {
-            CheckpointKind::Full => 0,
-            CheckpointKind::Incremental => 1,
-        });
-        body.put_u64_le(m.base.map(|b| b.0).unwrap_or(u64::MAX));
-        body.put_u64_le(m.iteration);
-        body.put_u64_le(m.reader_state.next_batch);
-        encode_scheme(&mut body, &m.scheme);
-        body.put_u16_le(m.tables.len() as u16);
-        for t in &m.tables {
-            body.put_u64_le(t.rows);
-            body.put_u16_le(t.dim);
-            body.put_u8(t.has_optimizer_state as u8);
-        }
-        wire::put_f32s(&mut body, &m.bottom_mlp);
-        wire::put_f32s(&mut body, &m.top_mlp);
-        body.put_u32_le(m.chunks.len() as u32);
-        for c in &m.chunks {
-            wire::put_string(&mut body, &c.key);
-            body.put_u16_le(c.shard);
-            body.put_u32_le(c.rows);
-            body.put_u64_le(c.bytes);
-            body.put_u32_le(c.parts);
-        }
-        body.put_u16_le(m.shards.len() as u16);
-        for s in &m.shards {
-            body.put_u16_le(s.host);
-            body.put_u64_le(s.rows);
-            body.put_u32_le(s.chunks);
-            body.put_u64_le(s.bytes);
-            body.put_u32_le(s.parts);
-        }
-        body.put_u64_le(m.payload_bytes);
-        let mut out = Vec::with_capacity(body.len() + 32);
-        out.put_u32_le(MAGIC);
-        out.put_u16_le(VERSION_V2);
-        wire::put_framed(&mut out, &body);
-        out
-    }
-
-    #[test]
-    fn v2_manifest_body_decodes_with_unknown_row_ranges() {
-        let m = sample_manifest();
-        let back = Manifest::decode(&encode_v2(&m)).unwrap();
-        assert_eq!(back.id, m.id);
-        assert_eq!(back.chunks.len(), m.chunks.len());
-        for (old, new) in back.chunks.iter().zip(&m.chunks) {
-            assert_eq!(old.key, new.key);
-            assert_eq!(old.bytes, new.bytes);
-            assert_eq!(old.table, ChunkMeta::UNKNOWN_TABLE);
-            assert_eq!(old.row_range(), None, "pre-v3 chunks are unranked");
-        }
-        // v3 chunks do report their range.
-        assert_eq!(m.chunks[1].row_range(), Some((1, 400, 499)));
     }
 
     #[test]
@@ -652,45 +605,17 @@ mod tests {
         let mut m = sample_manifest();
         m.kind = CheckpointKind::Full;
         m.base = None;
-        let back = Manifest::decode(&m.encode()).unwrap();
+        let back = Manifest::decode(&m.encode_enveloped()).unwrap();
         assert_eq!(back.base, None);
         assert_eq!(back.kind, CheckpointKind::Full);
     }
 
+    /// Flipping any byte of the stored manifest — magic included — is a
+    /// typed error, never a short or wrong decode.
     #[test]
     fn manifest_detects_corruption() {
-        let bytes = sample_manifest().encode();
-        for i in (0..bytes.len()).step_by(7) {
-            let mut corrupted = bytes.clone();
-            corrupted[i] ^= 0x40;
-            assert!(
-                Manifest::decode(&corrupted).is_err(),
-                "flip at {i} accepted"
-            );
-        }
-    }
-
-    #[test]
-    fn manifest_rejects_wrong_magic_and_version() {
-        let bytes = sample_manifest().encode();
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] ^= 0xFF;
-        assert!(Manifest::decode(&bad_magic).is_err());
-        let mut bad_version = bytes;
-        bad_version[4] = 99;
-        assert!(Manifest::decode(&bad_version).is_err());
-    }
-
-    #[test]
-    fn enveloped_manifest_roundtrips_and_detects_corruption() {
-        let m = sample_manifest();
-        let bytes = m.encode_enveloped();
-        assert!(envelope::is_enveloped(&bytes));
-        let (flags, _) = envelope::unwrap(&bytes).unwrap();
-        assert_eq!(flags, envelope::FLAG_MANIFEST);
-        assert_eq!(Manifest::decode(&bytes).unwrap(), m);
-        // Any flip past the magic is caught by the envelope itself.
-        for i in (4..bytes.len()).step_by(7) {
+        let bytes = sample_manifest().encode_enveloped();
+        for i in 0..bytes.len() {
             let mut corrupted = bytes.clone();
             corrupted[i] ^= 0x40;
             assert!(
@@ -698,26 +623,55 @@ mod tests {
                 "flip at {i} accepted"
             );
         }
+    }
+
+    /// The payload's own magic and version still gate decoding behind a
+    /// valid envelope (a chunk stored under a manifest key, a future
+    /// layout).
+    #[test]
+    fn manifest_rejects_wrong_magic_and_version() {
+        let payload = sample_manifest().encode();
+        let mut bad_magic = payload.clone();
+        bad_magic[0] ^= 0xFF;
+        let mut bad_version = payload;
+        bad_version[4] = 99;
+        for bad in [bad_magic, bad_version] {
+            assert!(Manifest::decode_payload(&bad).is_err());
+            let stored = envelope::wrap_with_flags(&bad, envelope::FLAG_MANIFEST);
+            assert!(Manifest::decode(&stored).is_err());
+        }
+    }
+
+    #[test]
+    fn enveloped_manifest_roundtrips_and_detects_corruption() {
+        let m = sample_manifest();
+        let bytes = m.encode_enveloped();
+        let (flags, _) = envelope::unwrap(&bytes).unwrap();
+        assert_eq!(flags, envelope::FLAG_MANIFEST);
+        assert_eq!(Manifest::decode(&bytes).unwrap(), m);
         // Truncations are always an error, never a short decode.
         for keep in [0, 3, 8, 15, 16, bytes.len() / 2, bytes.len() - 1] {
             assert!(Manifest::decode(&bytes[..keep]).is_err());
         }
+        // A bare payload has no envelope: rejected, not parsed.
+        assert!(matches!(Manifest::decode(&m.encode()), Err(CnrError::Corrupt(_))));
     }
 
     #[test]
     fn enveloped_chunk_roundtrips_and_detects_corruption() {
         let c = sample_chunk(true);
         let bytes = c.encode_enveloped();
-        assert!(envelope::is_enveloped(&bytes));
         assert_eq!(ChunkPayload::decode(&bytes).unwrap(), c);
-        for i in (4..bytes.len()).step_by(5) {
-            let mut corrupted = bytes.clone();
-            corrupted[i] ^= 0x10;
-            assert!(
-                matches!(ChunkPayload::decode(&corrupted), Err(CnrError::Corrupt(_))),
-                "flip at {i} accepted"
-            );
+        // A bare payload has no envelope: rejected, not parsed.
+        let payload = c.encode();
+        assert!(matches!(ChunkPayload::decode(&payload), Err(CnrError::Corrupt(_))));
+        // Payloads are exact: truncation and trailing bytes are typed errors.
+        for keep in 0..payload.len() {
+            assert!(ChunkPayload::decode_payload(&payload[..keep]).is_err(), "cut {keep}");
         }
+        let mut long = payload;
+        long.push(0);
+        assert!(matches!(ChunkPayload::decode_payload(&long), Err(CnrError::Corrupt(_))));
     }
 
     #[test]
@@ -756,19 +710,21 @@ mod tests {
     fn chunk_roundtrip() {
         for with_acc in [false, true] {
             let c = sample_chunk(with_acc);
-            let back = ChunkPayload::decode(&c.encode()).unwrap();
-            assert_eq!(c, back);
+            assert_eq!(ChunkPayload::decode(&c.encode_enveloped()).unwrap(), c);
+            assert_eq!(ChunkPayload::decode_payload(&c.encode()).unwrap(), c);
         }
     }
 
+    /// Flipping any byte of the stored chunk — magic included — is a
+    /// typed error.
     #[test]
     fn chunk_detects_corruption() {
-        let bytes = sample_chunk(true).encode();
-        for i in (0..bytes.len()).step_by(5) {
+        let bytes = sample_chunk(true).encode_enveloped();
+        for i in 0..bytes.len() {
             let mut corrupted = bytes.clone();
             corrupted[i] ^= 0x10;
             assert!(
-                ChunkPayload::decode(&corrupted).is_err(),
+                matches!(ChunkPayload::decode(&corrupted), Err(CnrError::Corrupt(_))),
                 "flip at {i} accepted"
             );
         }
@@ -782,12 +738,13 @@ mod tests {
             optimizer_state: None,
             rows: vec![],
         };
-        assert_eq!(ChunkPayload::decode(&c.encode()).unwrap(), c);
+        assert_eq!(ChunkPayload::decode(&c.encode_enveloped()).unwrap(), c);
     }
 
     #[test]
     fn total_bytes_includes_manifest() {
         let m = sample_manifest();
-        assert!(m.total_bytes() > m.payload_bytes);
+        assert_eq!(m.stored_len(), m.encode_enveloped().len() as u64);
+        assert_eq!(m.total_bytes(), m.payload_bytes + m.stored_len());
     }
 }

@@ -327,7 +327,7 @@ pub fn restore_sharded_with_heat(
     };
     let merge_time = merge_t0.elapsed();
 
-    let manifest_bytes: u64 = chain.iter().map(|m| m.encode_enveloped().len() as u64).sum();
+    let manifest_bytes: u64 = chain.iter().map(Manifest::stored_len).sum();
     let bytes_read = chunk_bytes + manifest_bytes;
     let shards_merged = chain.iter().map(|m| m.shards.len()).sum();
     let ready_at = fetch_sched.ready_at();
@@ -444,7 +444,7 @@ fn load_chain_over(
         let key = Manifest::key(job, id);
         let size = store.head(&key).map_err(CnrError::from)?.size;
         let (bytes, _arrived) = scheduler.fetch_chunk(0, &key, size, 1)?;
-        Manifest::decode(&bytes)
+        Manifest::decode_payload(scheduler::verified_payload(&bytes))
     };
     let mut chain = vec![fetch_manifest(target)?];
     while chain.last().unwrap().kind != CheckpointKind::Full {

@@ -21,6 +21,13 @@ use std::collections::BinaryHeap;
 use std::sync::Mutex;
 use std::time::Duration;
 
+/// The payload of an object [`FetchScheduler::fetch_chunk`] returned. Its
+/// envelope was verified on arrival, so the payload is handed to the codec
+/// as is.
+pub(crate) fn verified_payload(stored: &[u8]) -> &[u8] {
+    &stored[envelope::HEADER_LEN..]
+}
+
 /// Point-in-time view of the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchStatus {
@@ -121,12 +128,13 @@ impl<'a> FetchScheduler<'a> {
     /// exhausted retries and non-transient errors (missing object, bad
     /// range) propagate immediately.
     ///
-    /// Enveloped objects are verified end-to-end after reassembly: a chunk
-    /// whose envelope fails its checksum is re-fetched whole from another
-    /// replica (the per-range retry budget also bounds whole-chunk
-    /// re-fetches), and a chunk that never verifies surfaces as
+    /// Every object's envelope is verified end-to-end after reassembly: a
+    /// chunk whose envelope is missing or fails its checksum is re-fetched
+    /// whole from another replica (the per-range retry budget also bounds
+    /// whole-chunk re-fetches), and a chunk that never verifies surfaces as
     /// [`StorageError::Corrupt`] — corrupted bytes are never handed to the
-    /// decoder. Legacy (pre-envelope) objects pass through unverified.
+    /// decoder. The returned bytes are the verified stored object, so its
+    /// payload can be decoded without checksumming it again.
     pub fn fetch_chunk(
         &self,
         host: u16,
@@ -226,6 +234,13 @@ impl<'a> FetchScheduler<'a> {
                     self.state.lock().unwrap().retries_performed += 1;
                     // Transient: retry the same range.
                 }
+                Err(StorageError::OutOfRange(why)) => {
+                    // Ranges are planned from the size the manifest
+                    // recorded: an object too short to serve one was
+                    // truncated at rest.
+                    self.state.lock().unwrap().corruption_detected += 1;
+                    return Err(CnrError::Corrupt(format!("{key}: {why}")));
+                }
                 Err(e) => return Err(CnrError::from(e)),
             }
         };
@@ -234,17 +249,14 @@ impl<'a> FetchScheduler<'a> {
         Ok((data, receipt.completed_at))
     }
 
-    /// Verifies an assembled object's envelope, if it has one. A short
-    /// read (in-transit truncation loses trailing bytes of an enveloped
-    /// object) and a checksum mismatch both count as detected corruption.
+    /// Verifies an assembled object's envelope. Bytes without an
+    /// envelope, a short read (in-transit truncation loses trailing bytes)
+    /// and a checksum mismatch all count as detected corruption.
     fn verify(&self, key: &str, data: &[u8]) -> std::result::Result<(), StorageError> {
-        match envelope::inspect(data) {
-            envelope::Inspection::ValidV3 { .. } | envelope::Inspection::Legacy => Ok(()),
-            envelope::Inspection::CorruptV3(why) => {
-                self.state.lock().unwrap().corruption_detected += 1;
-                Err(StorageError::Corrupt(format!("{key}: {why}")))
-            }
-        }
+        envelope::unwrap(data).map(|_| ()).map_err(|why| {
+            self.state.lock().unwrap().corruption_detected += 1;
+            StorageError::Corrupt(format!("{key}: {why}"))
+        })
     }
 
     /// Admits the next range on `host`'s window: returns the earliest
@@ -322,14 +334,20 @@ mod tests {
         )
     }
 
+    /// A stored object of exactly `len` bytes, envelope included.
+    fn object(len: usize) -> Bytes {
+        let payload: Vec<u8> = (0..len - envelope::HEADER_LEN).map(|i| i as u8).collect();
+        Bytes::from(envelope::wrap(&payload))
+    }
+
     fn mb(n: usize) -> Bytes {
-        Bytes::from(vec![0u8; n * 1024 * 1024])
+        object(n * 1024 * 1024)
     }
 
     #[test]
     fn fetches_in_ranges_and_reassembles() {
         let store = InMemoryStore::new();
-        let payload = Bytes::from((0u8..=249).collect::<Vec<u8>>());
+        let payload = object(250);
         store.put("obj", payload.clone()).unwrap();
         let sched = FetchScheduler::new(&store, 1, 4, 0, Duration::ZERO);
         let (data, _) = sched.fetch_chunk(0, "obj", 250, 3).unwrap();
@@ -337,13 +355,18 @@ mod tests {
         assert_eq!(sched.poll(Duration::ZERO).parts_fetched, 3);
     }
 
+    /// An empty object downloads as one range — and, having no envelope,
+    /// is rejected as corrupt rather than handed to a decoder.
     #[test]
     fn empty_object_is_one_range() {
         let store = InMemoryStore::new();
         store.put("obj", Bytes::new()).unwrap();
         let sched = FetchScheduler::new(&store, 1, 4, 0, Duration::ZERO);
-        let (data, _) = sched.fetch_chunk(0, "obj", 0, 1).unwrap();
-        assert!(data.is_empty());
+        let err = sched.fetch_chunk(0, "obj", 0, 1).unwrap_err();
+        assert!(matches!(err, CnrError::Corrupt(_)), "got {err:?}");
+        let status = sched.poll(Duration::ZERO);
+        assert_eq!(status.parts_fetched, 1);
+        assert_eq!(status.corruption_detected, 1);
     }
 
     #[test]
@@ -381,7 +404,7 @@ mod tests {
     #[test]
     fn transient_read_failures_are_retried() {
         let store = FlakyStore::failing_reads(InMemoryStore::new(), FailureMode::FirstN(2));
-        store.put("obj", Bytes::from(vec![7u8; 100])).unwrap();
+        store.put("obj", object(100)).unwrap();
         let sched = FetchScheduler::new(&store, 1, 4, 3, Duration::ZERO);
         let (data, _) = sched.fetch_chunk(0, "obj", 100, 2).unwrap();
         assert_eq!(data.len(), 100);
@@ -393,12 +416,23 @@ mod tests {
     #[test]
     fn exhausted_retries_propagate_the_error() {
         let store = FlakyStore::failing_reads(InMemoryStore::new(), FailureMode::Every(1));
-        store.put("obj", Bytes::from(vec![7u8; 100])).unwrap();
+        store.put("obj", object(100)).unwrap();
         let sched = FetchScheduler::new(&store, 1, 4, 2, Duration::ZERO);
         assert!(matches!(
             sched.fetch_chunk(0, "obj", 100, 1),
             Err(CnrError::Storage(_))
         ));
+    }
+
+    #[test]
+    fn object_shorter_than_planned_is_corrupt() {
+        let store = InMemoryStore::new();
+        let stored = object(100);
+        store.put("obj", stored.slice(..60)).unwrap(); // truncated at rest
+        let sched = FetchScheduler::new(&store, 1, 4, 2, Duration::ZERO);
+        let err = sched.fetch_chunk(0, "obj", 100, 2).unwrap_err();
+        assert!(matches!(err, CnrError::Corrupt(_)), "got {err:?}");
+        assert_eq!(sched.poll(Duration::ZERO).corruption_detected, 1);
     }
 
     #[test]
@@ -414,6 +448,7 @@ mod tests {
     fn start_floor_delays_every_range() {
         let store = remote(1.0, 2);
         store.put("obj", mb(1)).unwrap(); // channel 0 busy until 1s
+        store.put("small", object(1024)).unwrap();
         let floor = Duration::from_secs(10);
         let sched = FetchScheduler::new(&store, 2, 4, 0, floor);
         assert_eq!(sched.ready_at(), floor, "nothing fetched yet");
@@ -421,7 +456,7 @@ mod tests {
         assert!(arrived >= floor + Duration::from_secs(1), "read starts at the floor");
         // Raising the floor moves subsequent ranges, not completed ones.
         sched.set_floor(Duration::from_secs(20));
-        let (_, arrived2) = sched.fetch_chunk(1, "obj", 1024, 1).unwrap();
+        let (_, arrived2) = sched.fetch_chunk(1, "small", 1024, 1).unwrap();
         assert!(arrived2 >= Duration::from_secs(20));
     }
 
@@ -429,7 +464,7 @@ mod tests {
     fn multipart_reassembly_is_offered_back_to_the_cache() {
         use cnr_storage::TieredStore;
         let remote = InMemoryStore::new();
-        remote.put("chunk", Bytes::from(vec![3u8; 4096])).unwrap();
+        remote.put("chunk", object(4096)).unwrap();
         let store = TieredStore::new(InMemoryStore::new(), remote, 1 << 20);
         let sched = FetchScheduler::new(&store, 1, 4, 0, Duration::ZERO);
         // 4 partial ranges: none can populate the cache on its own...

@@ -12,7 +12,7 @@
 //! mirror of the write path's mid-upload host death.
 
 use super::planner::FetchItem;
-use super::scheduler::FetchScheduler;
+use super::scheduler::{verified_payload, FetchScheduler};
 use crate::error::Result;
 use crate::manifest::ChunkPayload;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -153,22 +153,11 @@ impl ShardReader<'_> {
 
     /// Fetches, decodes, and de-quantizes one chunk.
     fn read_one(&self, host: u16, item: &FetchItem) -> Result<DecodedChunk> {
-        // Plan ranges from the stored object's actual size, not the
-        // manifest's recorded bytes: a scrub that upgraded a legacy chunk
-        // to the enveloped format in place grew it by the header, and a
-        // range plan built from the stale size would truncate the read.
-        // (A missing object falls through to the fetch's own error path.)
-        let size = self
-            .scheduler
-            .store()
-            .head(&item.key)
-            .map(|m| m.size)
-            .unwrap_or(item.bytes);
         let (bytes, arrived_at) = self
             .scheduler
-            .fetch_chunk(host, &item.key, size, item.parts)?;
+            .fetch_chunk(host, &item.key, item.bytes, item.parts)?;
         let t0 = Instant::now();
-        let payload = ChunkPayload::decode(&bytes)?;
+        let payload = ChunkPayload::decode_payload(verified_payload(&bytes))?;
         let values: Vec<Vec<f32>> = payload.rows.iter().map(|r| r.dequantize()).collect();
         self.decode_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);

@@ -187,7 +187,7 @@ pub fn restore(
                 rows_applied += 1;
             }
         }
-        bytes_read += manifest.encode_enveloped().len() as u64;
+        bytes_read += manifest.stored_len();
     }
 
     Ok(RestoreReport {

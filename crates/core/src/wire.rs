@@ -1,16 +1,20 @@
-//! Low-level wire helpers: checksums and framed primitives.
+//! Low-level wire helpers: length-prefixed primitives and truncation-safe
+//! scalar reads.
 //!
-//! Checkpoints must never be silently corrupt — a restored model with a few
-//! flipped bits would train onward with degraded accuracy and nobody would
-//! know (the failure mode the paper's accuracy criterion forbids). Every
-//! chunk and every manifest therefore carries an FNV-1a-64 checksum over its
-//! payload, verified on read.
+//! The codecs built on these helpers carry no checksum of their own:
+//! every stored object is wrapped in the CRC-checked envelope of
+//! [`cnr_storage::envelope`], and WAL records ride inside CRC-checked
+//! frames, so codecs only ever parse bytes that were already verified.
+//! The readers still reject truncated input with a typed error rather
+//! than panicking.
 
 use bytes::{Buf, BufMut};
 
 use crate::error::CnrError;
 
-/// FNV-1a 64-bit hash.
+/// FNV-1a 64-bit hash. No checkpoint path uses it — the envelope CRC is
+/// the only integrity check; its one caller is the benchmark's kernel
+/// probe (`wire.checksum_mb_s`).
 pub fn checksum(data: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in data {
@@ -18,34 +22,6 @@ pub fn checksum(data: &[u8]) -> u64 {
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
-}
-
-/// Appends `data` framed as `[len: u32][data][checksum: u64]`.
-pub fn put_framed(buf: &mut Vec<u8>, data: &[u8]) {
-    buf.put_u32_le(data.len() as u32);
-    buf.extend_from_slice(data);
-    buf.put_u64_le(checksum(data));
-}
-
-/// Reads one `[len][data][checksum]` frame, verifying the checksum.
-pub fn get_framed(buf: &mut &[u8]) -> Result<Vec<u8>, CnrError> {
-    if buf.remaining() < 4 {
-        return Err(CnrError::Corrupt("frame header truncated".into()));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len + 8 {
-        return Err(CnrError::Corrupt("frame body truncated".into()));
-    }
-    let data = buf[..len].to_vec();
-    buf.advance(len);
-    let want = buf.get_u64_le();
-    let got = checksum(&data);
-    if want != got {
-        return Err(CnrError::Corrupt(format!(
-            "frame checksum mismatch: stored {want:#x}, computed {got:#x}"
-        )));
-    }
-    Ok(data)
 }
 
 /// Appends a length-prefixed UTF-8 string.
@@ -143,44 +119,6 @@ mod tests {
         assert_eq!(a, checksum(b"hello"));
         assert_ne!(a, checksum(b"hellp"));
         assert_ne!(checksum(b""), 0);
-    }
-
-    #[test]
-    fn framed_roundtrip() {
-        let mut buf = Vec::new();
-        put_framed(&mut buf, b"payload");
-        put_framed(&mut buf, b"");
-        let mut slice = buf.as_slice();
-        assert_eq!(get_framed(&mut slice).unwrap(), b"payload");
-        assert_eq!(get_framed(&mut slice).unwrap(), b"");
-        assert!(slice.is_empty());
-    }
-
-    #[test]
-    fn framed_detects_any_single_byte_flip() {
-        let mut buf = Vec::new();
-        put_framed(&mut buf, b"important checkpoint data");
-        // Flip each payload/checksum byte; header flips may shift the frame
-        // (len change) which must also fail.
-        for i in 0..buf.len() {
-            let mut corrupted = buf.clone();
-            corrupted[i] ^= 0x01;
-            let mut slice = corrupted.as_slice();
-            assert!(
-                get_framed(&mut slice).is_err() || !slice.is_empty(),
-                "flip at byte {i} went unnoticed"
-            );
-        }
-    }
-
-    #[test]
-    fn framed_truncation_errors() {
-        let mut buf = Vec::new();
-        put_framed(&mut buf, b"abc");
-        for cut in 0..buf.len() {
-            let mut slice = &buf[..cut];
-            assert!(get_framed(&mut slice).is_err(), "cut {cut} accepted");
-        }
     }
 
     #[test]

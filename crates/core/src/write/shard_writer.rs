@@ -159,7 +159,7 @@ impl ShardWriter<'_> {
 }
 
 /// Quantizes and encodes one work item into the chunk bytes as stored:
-/// the v2 payload wrapped in the v3 storage envelope, so every byte that
+/// the chunk payload wrapped in the storage envelope, so every byte that
 /// leaves a writer host is covered by an end-to-end checksum.
 pub(crate) fn encode_chunk(item: &WorkItem, scheme: &QuantScheme) -> Vec<u8> {
     let rows = item

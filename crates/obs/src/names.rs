@@ -158,10 +158,6 @@ pub const SCRUB_SWEEPS: &str = "cnr_scrub_sweeps_total";
 pub const SCRUB_SCANNED: &str = "cnr_scrub_scanned_total";
 /// Counter: objects clean on first read.
 pub const SCRUB_CLEAN: &str = "cnr_scrub_clean_total";
-/// Counter: legacy (pre-envelope) objects found.
-pub const SCRUB_LEGACY_FOUND: &str = "cnr_scrub_legacy_found_total";
-/// Counter: legacy objects upgraded in place.
-pub const SCRUB_UPGRADED: &str = "cnr_scrub_upgraded_total";
 /// Counter: envelope verification failures.
 pub const SCRUB_CORRUPT_DETECTED: &str = "cnr_scrub_corrupt_detected_total";
 /// Counter: corrupt objects healed from a replica.

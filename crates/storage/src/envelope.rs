@@ -1,35 +1,30 @@
-//! Self-describing checksummed object envelope (wire v3).
+//! Self-describing checksummed object envelope.
 //!
 //! Production object stores exhibit bit-rot, truncated multipart uploads,
-//! and stale replicas. The v2 wire format could only detect some of this,
-//! late: chunk payloads carried an FNV frame check *inside* the codec, so
-//! corruption surfaced (if at all) deep in dequantization, and cached or
-//! range-reassembled bytes were trusted blindly. From v3 on, every object
-//! written by the checkpoint pipeline — chunks and manifests alike — is
-//! wrapped in a 16-byte envelope that makes the object self-describing and
-//! end-to-end verifiable at every read site:
+//! and stale replicas. Every object the checkpoint pipeline stores —
+//! chunks and manifests alike — is wrapped in a 16-byte envelope that
+//! makes the object self-describing and end-to-end verifiable at every
+//! read site:
 //!
 //! ```text
 //! offset  size  field
 //! ------  ----  -----------------------------------------------
 //!      0     4  magic        b"CNR3"
-//!      4     2  version      u16 LE, = 3
+//!      4     2  version      u16 LE, = 4
 //!      6     2  flags        u16 LE (bit 0: payload is a manifest)
 //!      8     4  payload_len  u32 LE, exact length of payload
 //!     12     4  crc32        u32 LE, CRC-32 (IEEE) over bytes
 //!                            [4, 12) of the header ++ payload
-//!     16     …  payload      the v2-format object bytes
+//!     16     …  payload      the object's codec bytes
 //! ```
 //!
 //! The checksum covers the header fields as well as the payload, so a bit
 //! flip anywhere past the magic is detected — including flips that land
-//! on defined flag bits.
-//!
-//! The payload is the *unchanged* v2 encoding of the object, so migration
-//! is sniffing: readers check the first four bytes — `CNR3` means verify
-//! the envelope and decode the payload, anything else is a legacy v2
-//! object and decodes as before. Writers emit v3 only. The
-//! [`crate::scrub`] subsystem upgrades legacy objects in place.
+//! on defined flag bits — and a flip in the magic leaves an object without
+//! an envelope, which is rejected just the same. The envelope is the only
+//! integrity check: payload codecs carry no checksum of their own. The
+//! version names the payload layout; objects of any other version are
+//! rejected, never misparsed.
 //!
 //! The parser is hardened against untrusted input: it never panics on
 //! short or garbage buffers, never allocates (it returns subslices), and
@@ -37,11 +32,12 @@
 
 use crate::{Result, StorageError};
 
-/// Envelope magic: the first four bytes of every v3 object.
+/// Envelope magic: the first four bytes of every stored object.
 pub const MAGIC: [u8; 4] = *b"CNR3";
 
-/// Envelope wire version.
-pub const VERSION: u16 = 3;
+/// Envelope wire version. Version 4 payloads carry no inner checksum
+/// frame; version 3 objects are rejected.
+pub const VERSION: u16 = 4;
 
 /// Envelope header length in bytes.
 pub const HEADER_LEN: usize = 16;
@@ -56,7 +52,7 @@ pub const FLAG_MANIFEST: u16 = 1 << 0;
 /// [`crate::wal`]) rather than unwrapped as a single envelope.
 pub const FLAG_WAL_FRAME: u16 = 1 << 1;
 
-/// All flag bits a v3 reader understands; unknown bits are corruption.
+/// All flag bits a reader understands; unknown bits are corruption.
 const KNOWN_FLAGS: u16 = FLAG_MANIFEST | FLAG_WAL_FRAME;
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) lookup table,
@@ -97,23 +93,7 @@ fn envelope_crc(header_fields: &[u8], payload: &[u8]) -> u32 {
     crc32_feed(crc32_feed(0xFFFF_FFFF, header_fields), payload) ^ 0xFFFF_FFFF
 }
 
-/// What [`inspect`] found in a buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Inspection {
-    /// A valid v3 envelope; the payload checks out.
-    ValidV3 {
-        /// Envelope flags.
-        flags: u16,
-    },
-    /// No v3 magic: a legacy (v2-era) object. Its integrity cannot be
-    /// judged at this layer — legacy chunk/manifest codecs carry their own
-    /// frame checks.
-    Legacy,
-    /// The buffer claims to be a v3 envelope but fails validation.
-    CorruptV3(String),
-}
-
-/// Wraps `payload` in a v3 envelope with the given flags.
+/// Wraps `payload` in an envelope with the given flags.
 pub fn wrap_with_flags(payload: &[u8], flags: u16) -> Vec<u8> {
     assert!(
         payload.len() <= u32::MAX as usize,
@@ -130,16 +110,9 @@ pub fn wrap_with_flags(payload: &[u8], flags: u16) -> Vec<u8> {
     out
 }
 
-/// Wraps `payload` in a v3 envelope with no flags set.
+/// Wraps `payload` in an envelope with no flags set.
 pub fn wrap(payload: &[u8]) -> Vec<u8> {
     wrap_with_flags(payload, 0)
-}
-
-/// True if `buf` starts with the v3 envelope magic. Legacy objects cannot
-/// collide: v2 manifests start with `CNRM` and v2 chunk payloads start
-/// with a little-endian frame length.
-pub fn is_enveloped(buf: &[u8]) -> bool {
-    buf.len() >= MAGIC.len() && buf[..MAGIC.len()] == MAGIC
 }
 
 #[inline]
@@ -152,16 +125,16 @@ fn read_u32(buf: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]])
 }
 
-/// Validates the v3 envelope in `buf` and returns `(flags, payload)`.
+/// Validates the envelope in `buf` and returns `(flags, payload)`. This is
+/// the one call every read site makes before handing bytes to a codec.
 ///
 /// Errors with [`StorageError::Corrupt`] if the buffer is not a
-/// well-formed, checksum-clean v3 envelope. Never panics and never
-/// allocates for the payload — the returned slice borrows from `buf`.
+/// well-formed, checksum-clean envelope — bytes without the magic
+/// included. Never panics and never allocates for the payload — the
+/// returned slice borrows from `buf`.
 pub fn unwrap(buf: &[u8]) -> Result<(u16, &[u8])> {
-    if !is_enveloped(buf) {
-        return Err(StorageError::Corrupt(
-            "missing v3 envelope magic".to_string(),
-        ));
+    if buf.len() < MAGIC.len() || buf[..MAGIC.len()] != MAGIC {
+        return Err(StorageError::Corrupt("missing envelope magic".to_string()));
     }
     if buf.len() < HEADER_LEN {
         return Err(StorageError::Corrupt(format!(
@@ -199,29 +172,6 @@ pub fn unwrap(buf: &[u8]) -> Result<(u16, &[u8])> {
     Ok((flags, payload))
 }
 
-/// Returns the object's decodable bytes: the verified payload when `buf`
-/// is a v3 envelope, or `buf` itself for legacy objects. This is the one
-/// call every read site makes before handing bytes to a codec.
-pub fn open(buf: &[u8]) -> Result<&[u8]> {
-    if is_enveloped(buf) {
-        Ok(unwrap(buf)?.1)
-    } else {
-        Ok(buf)
-    }
-}
-
-/// Classifies a stored object without unwrapping it (scrubber sweep
-/// primitive).
-pub fn inspect(buf: &[u8]) -> Inspection {
-    if !is_enveloped(buf) {
-        return Inspection::Legacy;
-    }
-    match unwrap(buf) {
-        Ok((flags, _)) => Inspection::ValidV3 { flags },
-        Err(e) => Inspection::CorruptV3(e.to_string()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,11 +189,9 @@ mod tests {
         for payload in [&b""[..], b"x", b"hello world", &[0u8; 1000][..]] {
             let enveloped = wrap(payload);
             assert_eq!(enveloped.len(), HEADER_LEN + payload.len());
-            assert!(is_enveloped(&enveloped));
             let (flags, back) = unwrap(&enveloped).unwrap();
             assert_eq!(flags, 0);
             assert_eq!(back, payload);
-            assert_eq!(open(&enveloped).unwrap(), payload);
         }
     }
 
@@ -259,13 +207,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bytes_pass_through_open() {
-        let legacy = b"CNRM....not an envelope";
-        assert!(!is_enveloped(legacy));
-        assert_eq!(open(legacy).unwrap(), legacy);
-        assert_eq!(inspect(legacy), Inspection::Legacy);
-        // Including the empty object.
-        assert_eq!(open(b"").unwrap(), b"");
+    fn bytes_without_the_magic_are_corrupt() {
+        for bare in [&b""[..], b"CNR", b"CNRM....not an envelope", &[0u8; 64][..]] {
+            match unwrap(bare) {
+                Err(StorageError::Corrupt(why)) => assert!(why.contains("magic"), "{why}"),
+                other => panic!("bare bytes accepted: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -275,17 +223,12 @@ mod tests {
             for bit in 0..8 {
                 let mut bad = enveloped.clone();
                 bad[byte] ^= 1 << bit;
-                // A flip in the magic demotes the object to legacy (open
-                // passes it through — the inner codec's own checks must
-                // catch it); any other flip is a hard envelope error.
-                if byte < 4 {
-                    assert!(!is_enveloped(&bad) || unwrap(&bad).is_err());
-                } else {
-                    assert!(
-                        matches!(unwrap(&bad), Err(StorageError::Corrupt(_))),
-                        "flip at byte {byte} bit {bit} not detected"
-                    );
-                }
+                // Magic flips included: bytes without the magic are
+                // corrupt, not a different format.
+                assert!(
+                    matches!(unwrap(&bad), Err(StorageError::Corrupt(_))),
+                    "flip at byte {byte} bit {bit} not detected"
+                );
             }
         }
     }
@@ -293,7 +236,7 @@ mod tests {
     #[test]
     fn truncation_and_extension_are_detected() {
         let enveloped = wrap(b"0123456789abcdef");
-        for keep in 4..enveloped.len() {
+        for keep in 0..enveloped.len() {
             assert!(
                 matches!(unwrap(&enveloped[..keep]), Err(StorageError::Corrupt(_))),
                 "truncation to {keep} bytes not detected"
@@ -306,9 +249,16 @@ mod tests {
 
     #[test]
     fn version_skew_is_rejected() {
-        let mut future = wrap(b"payload");
-        future[4] = 4; // version 4
-        assert!(matches!(unwrap(&future), Err(StorageError::Corrupt(_))));
+        for version in [3u16, 5] {
+            let mut skewed = wrap(b"payload");
+            skewed[4..6].copy_from_slice(&version.to_le_bytes());
+            match unwrap(&skewed) {
+                Err(StorageError::Corrupt(why)) => {
+                    assert!(why.contains("unsupported envelope version"), "{why}")
+                }
+                other => panic!("version {version} accepted: {other:?}"),
+            }
+        }
     }
 
     /// Fuzz-style hardening: the parser must never panic and never
@@ -333,8 +283,6 @@ mod tests {
                 buf[..4].copy_from_slice(&MAGIC);
             }
             let _ = unwrap(&buf);
-            let _ = open(&buf);
-            let _ = inspect(&buf);
         }
 
         // A huge claimed payload_len over a tiny buffer must not allocate.

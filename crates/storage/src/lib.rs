@@ -55,8 +55,8 @@ pub enum StorageError {
     /// from checkpoint manifests, so an out-of-range request means the
     /// object and its metadata disagree — never silently clamped.
     OutOfRange(String),
-    /// The object's bytes fail their integrity check: a v3 envelope with a
-    /// bad magic/version/length/CRC (see [`envelope`]). Readers treat this
+    /// The object's bytes fail their integrity check: an envelope with a
+    /// missing or bad magic/version/length/CRC (see [`envelope`]). Readers treat this
     /// as a damaged replica — retry another — never as data.
     Corrupt(String),
 }

@@ -23,11 +23,12 @@
 //!   cache when the range covered the whole object.
 //! * multipart uploads go straight to the remote — parts are transient and
 //!   a checkpoint chunk is only read back on restore, when `get` caches it.
-//! * cache hits are *revalidated*: local flash rots too, so an object that
-//!   carries a v3 envelope (see [`crate::envelope`]) is checksum-verified
-//!   on every hit. A failed check evicts the poisoned entry and falls
-//!   through to the remote — the cache can delay detection of remote
-//!   corruption, but it can never convert local corruption into data.
+//! * cache hits are *revalidated*: local flash rots too, so every cached
+//!   object's envelope (see [`crate::envelope`]) is checksum-verified on
+//!   every hit. A failed check — bytes without an envelope included —
+//!   evicts the entry and falls through to the remote: the cache can delay
+//!   detection of remote corruption, but it can never convert local
+//!   corruption into data.
 //!
 //! Listing, metadata, and capacity reflect the remote tier: the cache is an
 //! invisible accelerator, never the source of truth.
@@ -138,22 +139,20 @@ impl<C: ObjectStore, R: ObjectStore> TieredStore<C, R> {
         self.policy
     }
 
-    /// Cache entries evicted because their v3 envelope failed verification
+    /// Cache entries evicted because their envelope failed verification
     /// on a hit (poisoned local copies caught before being served).
     pub fn cache_verify_evictions(&self) -> u64 {
         self.verify_evictions.load(Ordering::Relaxed)
     }
 
-    /// Looks `key` up in the cache, revalidating enveloped entries: a
-    /// cached object whose v3 envelope no longer verifies is evicted and
-    /// reported as absent, so the caller falls through to the remote.
-    /// Legacy (pre-envelope) bytes are served as-is — their integrity is
-    /// the inner codec's job. Verification is pure CPU: it adds no
-    /// simulated time and touches no remote channel.
+    /// Looks `key` up in the cache, revalidating the entry: a cached object
+    /// whose envelope does not verify is evicted and reported as absent,
+    /// so the caller falls through to the remote. Verification is pure
+    /// CPU: it adds no simulated time and touches no remote channel.
     fn cache_lookup(&self, key: &str) -> Result<Option<Bytes>> {
         match self.cache.get(key) {
             Ok(data) => {
-                if envelope::is_enveloped(&data) && envelope::unwrap(&data).is_err() {
+                if envelope::unwrap(&data).is_err() {
                     self.verify_evictions.fetch_add(1, Ordering::Relaxed);
                     self.cache_forget(key);
                     return Ok(None);
@@ -317,10 +316,10 @@ impl<C: ObjectStore, R: ObjectStore> ObjectStore for TieredStore<C, R> {
 
     fn offer_cached(&self, key: &str, data: Bytes) {
         // A reader reassembled the object from ranged reads (multi-part
-        // chunks can never populate via the miss path). Verify the payload
-        // matches the remote's view of the object — and, for enveloped
-        // objects, that the checksum holds — before retaining it.
-        if envelope::is_enveloped(&data) && envelope::unwrap(&data).is_err() {
+        // chunks can never populate via the miss path). Verify the envelope
+        // and that the size matches the remote's view of the object before
+        // retaining it.
+        if envelope::unwrap(&data).is_err() {
             return;
         }
         if matches!(self.remote.head(key), Ok(meta) if meta.size == data.len() as u64) {
@@ -387,6 +386,14 @@ mod tests {
         TieredStore::new(InMemoryStore::new(), InMemoryStore::new(), capacity)
     }
 
+    /// A stored object: `payload` in an envelope, as the checkpoint
+    /// pipeline writes it. Only such objects are served from the cache.
+    fn obj(payload: &[u8]) -> Bytes {
+        Bytes::from(envelope::wrap(payload))
+    }
+
+    const H: u64 = envelope::HEADER_LEN as u64;
+
     #[test]
     fn conformance() {
         let store = tiered(1 << 30);
@@ -396,25 +403,26 @@ mod tests {
     #[test]
     fn reads_hit_the_cache_after_write_through() {
         let store = tiered(1024);
-        store.put("a", Bytes::from_static(b"hello")).unwrap();
-        assert_eq!(store.get("a").unwrap(), Bytes::from_static(b"hello"));
+        store.put("a", obj(b"hello")).unwrap();
+        assert_eq!(store.get("a").unwrap(), obj(b"hello"));
         assert_eq!(store.cache_hits(), 1);
         assert_eq!(store.cache_misses(), 0);
     }
 
     #[test]
     fn eviction_bounds_the_cache_but_not_the_remote() {
-        let store = tiered(10);
+        // Room for two 20-byte objects.
+        let store = tiered(2 * (H + 4) + 2);
         for i in 0..5 {
-            store.put(&format!("k{i}"), Bytes::from(vec![0u8; 4])).unwrap();
+            store.put(&format!("k{i}"), obj(&[0u8; 4])).unwrap();
         }
-        assert!(store.cache().total_bytes() <= 10);
-        assert_eq!(store.total_bytes(), 20, "remote keeps everything");
+        assert!(store.cache().total_bytes() <= 2 * (H + 4));
+        assert_eq!(store.total_bytes(), 5 * (H + 4), "remote keeps everything");
         // Oldest entries were evicted: reading them is a miss served by the
         // remote, which re-populates the cache.
-        assert_eq!(store.get("k0").unwrap().len(), 4);
+        assert_eq!(store.get("k0").unwrap(), obj(&[0u8; 4]));
         assert_eq!(store.cache_misses(), 1);
-        assert_eq!(store.get("k0").unwrap().len(), 4);
+        assert_eq!(store.get("k0").unwrap(), obj(&[0u8; 4]));
         assert_eq!(store.cache_hits(), 1);
     }
 
@@ -431,19 +439,19 @@ mod tests {
     fn overwrites_never_serve_stale_cached_data() {
         // Cacheable value, then an uncacheable overwrite: the stale cached
         // entry must be dropped, not served.
-        let store = tiered(8);
-        store.put("k", Bytes::from_static(b"v1")).unwrap();
-        store.put("k", Bytes::from(vec![9u8; 64])).unwrap();
-        assert_eq!(store.get("k").unwrap().len(), 64, "no stale read");
+        let store = tiered(32);
+        store.put("k", obj(b"v1")).unwrap();
+        store.put("k", obj(&[9u8; 64])).unwrap();
+        assert_eq!(store.get("k").unwrap(), obj(&[9u8; 64]), "no stale read");
 
         // Cached value overwritten via multipart: same guarantee.
-        store.put("m", Bytes::from_static(b"old")).unwrap();
+        store.put("m", obj(b"old")).unwrap();
         let up = store.begin_multipart("m").unwrap();
         store
-            .put_part(&up, 0, Bytes::from_static(b"newer"), Duration::ZERO)
+            .put_part(&up, 0, obj(b"newer"), Duration::ZERO)
             .unwrap();
         store.complete_multipart(&up).unwrap();
-        assert_eq!(store.get("m").unwrap(), Bytes::from_static(b"newer"));
+        assert_eq!(store.get("m").unwrap(), obj(b"newer"));
     }
 
     #[test]
@@ -469,7 +477,9 @@ mod tests {
             clock,
         );
         let store = TieredStore::new(InMemoryStore::new(), remote, 1 << 20);
-        let r = store.put("a", Bytes::from(vec![0u8; 1024 * 1024])).unwrap();
+        let r = store
+            .put("a", obj(&vec![0u8; 1024 * 1024 - H as usize]))
+            .unwrap();
         assert!(r.completed_at >= Duration::from_secs(1), "remote timing");
         // ...but the read is a local cache hit.
         assert_eq!(store.get("a").unwrap().len(), 1024 * 1024);
@@ -479,32 +489,34 @@ mod tests {
 
     #[test]
     fn lru_eviction_keeps_recently_read_objects() {
-        // Budget of 12 bytes holds three 4-byte objects.
+        // The budget holds three 20-byte objects.
+        let budget = 3 * (H + 4);
         let store = TieredStore::with_policy(
             InMemoryStore::new(),
             InMemoryStore::new(),
-            12,
+            budget,
             EvictionPolicy::Lru,
         );
         for k in ["a", "b", "c"] {
-            store.put(k, Bytes::from(vec![0u8; 4])).unwrap();
+            store.put(k, obj(&[0u8; 4])).unwrap();
         }
         // Touch "a": it becomes most-recently-read, so inserting "d" must
         // evict "b" (the LRU victim), not "a".
         store.get("a").unwrap();
-        store.put("d", Bytes::from(vec![0u8; 4])).unwrap();
+        assert_eq!(store.cache_hits(), 1);
+        store.put("d", obj(&[0u8; 4])).unwrap();
         assert!(store.cache().get("a").is_ok(), "recently read survives");
         assert!(store.cache().get("b").is_err(), "LRU victim evicted");
         assert!(store.cache().get("c").is_ok());
         assert!(store.cache().get("d").is_ok());
 
         // Under FIFO the same sequence evicts "a" (oldest inserted).
-        let fifo = tiered(12);
+        let fifo = tiered(budget);
         for k in ["a", "b", "c"] {
-            fifo.put(k, Bytes::from(vec![0u8; 4])).unwrap();
+            fifo.put(k, obj(&[0u8; 4])).unwrap();
         }
         fifo.get("a").unwrap();
-        fifo.put("d", Bytes::from(vec![0u8; 4])).unwrap();
+        fifo.put("d", obj(&[0u8; 4])).unwrap();
         assert!(fifo.cache().get("a").is_err(), "FIFO ignores recency");
         assert_eq!(fifo.eviction_policy(), EvictionPolicy::Fifo);
     }
@@ -512,7 +524,7 @@ mod tests {
     #[test]
     fn hit_rate_and_cache_stats_accessors() {
         let store = tiered(1024);
-        store.put("a", Bytes::from_static(b"xy")).unwrap();
+        store.put("a", obj(b"xy")).unwrap();
         store.get("a").unwrap(); // hit (write-through cached it)
         store.cache_forget("a");
         store.get("a").unwrap(); // miss
@@ -529,14 +541,14 @@ mod tests {
         let clock = SimClock::new();
         let remote = SimulatedRemoteStore::new(RemoteConfig::default(), clock);
         let store = TieredStore::new(InMemoryStore::new(), remote, 1 << 20);
-        store.put("obj", Bytes::from_static(b"0123456789")).unwrap();
+        store.put("obj", obj(b"0123456789")).unwrap();
         // Cached by write-through: the ranged read is a local slice.
         assert_eq!(
-            store.get_range("obj", 2, 3).unwrap(),
+            store.get_range("obj", H + 2, 3).unwrap(),
             Bytes::from_static(b"234")
         );
         let (data, receipt) = store
-            .get_part("obj", 5, 4, 0, Duration::from_secs(3))
+            .get_part("obj", H + 5, 4, 0, Duration::from_secs(3))
             .unwrap();
         assert_eq!(data, Bytes::from_static(b"5678"));
         assert_eq!(receipt.transfer_time, Duration::ZERO, "local NVMe read");
@@ -551,9 +563,11 @@ mod tests {
         let remote = SimulatedRemoteStore::new(RemoteConfig::default(), clock);
         let store = TieredStore::new(InMemoryStore::new(), remote, 1 << 20);
         // Multipart write: durable on the remote, not yet cached.
+        let chunk = obj(b"abcdef");
+        let len = chunk.len() as u64;
         let up = store.begin_multipart("chunk").unwrap();
         store
-            .put_part(&up, 0, Bytes::from_static(b"abcdef"), Duration::ZERO)
+            .put_part(&up, 0, chunk.clone(), Duration::ZERO)
             .unwrap();
         store.complete_multipart(&up).unwrap();
         // A partial range miss does not populate (a cached prefix would be
@@ -561,18 +575,18 @@ mod tests {
         let (_, _) = store.get_part("chunk", 1, 2, 0, Duration::ZERO).unwrap();
         assert!(store.cache().get("chunk").is_err());
         // ...but a whole-object range does, so the next read is a hit.
-        let (data, _) = store.get_part("chunk", 0, 6, 0, Duration::ZERO).unwrap();
-        assert_eq!(data, Bytes::from_static(b"abcdef"));
+        let (data, _) = store.get_part("chunk", 0, len, 0, Duration::ZERO).unwrap();
+        assert_eq!(data, chunk);
         assert!(store.cache().get("chunk").is_ok());
         let before = store.cache_hits();
-        store.get_part("chunk", 0, 6, 0, Duration::ZERO).unwrap();
+        store.get_part("chunk", 0, len, 0, Duration::ZERO).unwrap();
         assert_eq!(store.cache_hits(), before + 1);
     }
 
     #[test]
     fn poisoned_cache_entry_is_evicted_and_refetched() {
         let store = tiered(1 << 20);
-        let clean = Bytes::from(crate::envelope::wrap(b"the chunk payload"));
+        let clean = obj(b"the chunk payload");
         store.put("obj", clean.clone()).unwrap();
 
         // Rot the *cached* copy: flip a payload byte behind the tier's back.
@@ -593,7 +607,7 @@ mod tests {
 
         // Ranged hits revalidate too.
         let mut poisoned = store.cache().get("obj").unwrap().to_vec();
-        poisoned[crate::envelope::HEADER_LEN] ^= 0x01;
+        poisoned[H as usize] ^= 0x01;
         store.cache().put("obj", Bytes::from(poisoned)).unwrap();
         let slice = store.get_range("obj", 0, clean.len() as u64).unwrap();
         assert_eq!(slice, clean);
@@ -612,7 +626,7 @@ mod tests {
     #[test]
     fn offer_cached_rejects_corrupt_envelopes() {
         let store = tiered(1 << 20);
-        let clean = Bytes::from(crate::envelope::wrap(b"reassembled chunk"));
+        let clean = obj(b"reassembled chunk");
         store.put("obj", clean.clone()).unwrap();
         store.cache_forget("obj");
 
@@ -683,18 +697,19 @@ mod tests {
         let clock = SimClock::new();
         let remote = SimulatedRemoteStore::new(RemoteConfig::default(), clock);
         let store = TieredStore::new(InMemoryStore::new(), remote, 1 << 20);
+        let whole = obj(b"abcd");
         let up = store.begin_multipart("obj").unwrap();
         store
-            .put_part(&up, 0, Bytes::from_static(b"ab"), Duration::ZERO)
+            .put_part(&up, 0, whole.slice(..10), Duration::ZERO)
             .unwrap();
         store
-            .put_part(&up, 1, Bytes::from_static(b"cd"), Duration::ZERO)
+            .put_part(&up, 1, whole.slice(10..), Duration::ZERO)
             .unwrap();
         store.complete_multipart(&up).unwrap();
         assert_eq!(store.cache().total_bytes(), 0, "not cached yet");
-        assert_eq!(store.get("obj").unwrap(), Bytes::from_static(b"abcd"));
+        assert_eq!(store.get("obj").unwrap(), whole);
         assert_eq!(store.cache_misses(), 1);
-        assert_eq!(store.get("obj").unwrap(), Bytes::from_static(b"abcd"));
+        assert_eq!(store.get("obj").unwrap(), whole);
         assert_eq!(store.cache_hits(), 1);
     }
 
@@ -704,7 +719,7 @@ mod tests {
         let obs = cnr_obs::Obs::wall();
         let store = TieredStore::new(InMemoryStore::new(), InMemoryStore::new(), 1 << 20)
             .with_obs(obs.clone());
-        store.put("k", Bytes::from_static(b"v")).unwrap();
+        store.put("k", obj(b"v")).unwrap();
         store.get("k").unwrap();
         store.get("k").unwrap();
         store.get("missing").unwrap_err();

@@ -9,7 +9,7 @@
 //! # Wire layout
 //!
 //! A WAL **segment** is a bare concatenation of **frames**. Each frame is a
-//! standard v3 envelope ([`crate::envelope`]) carrying
+//! standard envelope ([`crate::envelope`]) carrying
 //! [`FLAG_WAL_FRAME`](crate::envelope::FLAG_WAL_FRAME), whose payload is:
 //!
 //! ```text
@@ -82,7 +82,7 @@ pub fn is_wal_segment_key(key: &str) -> bool {
     key.rsplit('/').next().is_some_and(|name| name.starts_with("wal-"))
 }
 
-/// Whether `buf` starts with a v3 header carrying [`FLAG_WAL_FRAME`] — a
+/// Whether `buf` starts with an envelope header carrying [`FLAG_WAL_FRAME`] — a
 /// cheap sniff so readers (e.g. the scrubber) can route multi-frame WAL
 /// segments away from the single-envelope path without trusting key names.
 pub fn looks_like_wal_segment(buf: &[u8]) -> bool {

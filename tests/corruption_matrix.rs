@@ -185,11 +185,11 @@ const TARGETS: [Target; 3] = [Target::Chunk, Target::Manifest, Target::PartBound
 const HOSTS: [usize; 4] = [1, 2, 4, 8];
 
 /// The full 3 x 3 x 4 matrix with a transient fault and a refetch budget:
-/// no cell ever yields silent garbage, and nearly every cell heals by
-/// refetching (manifests ride the same verify-and-refetch scheduler as
-/// chunks). The rare typed-error cell is damage that downgrades the
-/// envelope to legacy framing (e.g. a truncation below the header), which
-/// the v2 decoder then rejects — still typed, still no garbage.
+/// no cell ever yields silent garbage, and every cell heals by refetching
+/// (manifests ride the same verify-and-refetch scheduler as chunks). Any
+/// damage — a flipped magic or a truncation below the header included —
+/// fails envelope verification, so the scheduler refetches it from a
+/// healthy replica.
 #[test]
 fn transient_corruption_matrix_heals_or_fails_typed() {
     let mut repaired = 0u32;
@@ -206,7 +206,7 @@ fn transient_corruption_matrix_heals_or_fails_typed() {
     }
     assert_eq!(repaired + typed, 36, "every cell ran");
     assert!(
-        repaired >= 30,
+        repaired >= 36,
         "the refetch path repaired the matrix (repaired {repaired}/36)"
     );
 }

@@ -97,12 +97,12 @@ proptest! {
             optimizer_state: with_acc.then(|| rows.iter().map(|r| r[0].abs()).collect()),
             rows: rows.iter().map(|r| scheme.quantize_row(r)).collect(),
         };
-        let bytes = chunk.encode();
+        let bytes = chunk.encode_enveloped();
         let back = ChunkPayload::decode(&bytes).unwrap();
         prop_assert_eq!(back, chunk);
     }
 
-    /// Flipping any byte of an encoded chunk is detected.
+    /// Flipping any byte of a stored (enveloped) chunk is detected.
     #[test]
     fn chunk_corruption_detected(
         flip_at_fraction in 0.0f64..1.0,
@@ -118,7 +118,7 @@ proptest! {
             optimizer_state: None,
             rows: rows.iter().map(|r| scheme.quantize_row(r)).collect(),
         };
-        let mut bytes = chunk.encode();
+        let mut bytes = chunk.encode_enveloped();
         let idx = ((bytes.len() - 1) as f64 * flip_at_fraction) as usize;
         bytes[idx] ^= 0x5A;
         prop_assert!(ChunkPayload::decode(&bytes).is_err());
