@@ -2,8 +2,10 @@
 //!
 //! Each `figN` module produces the data series of the corresponding figure,
 //! printed as CSV with `#`-prefixed commentary. The `repro` binary
-//! dispatches on figure ids; criterion benches under `benches/` reuse the
-//! same workload builders for wall-clock measurements.
+//! dispatches on figure ids. The `cnr_bench` binary writes the simulated
+//! bench trajectory ([`trajectory`]: `BENCH_restore.json`,
+//! `BENCH_wal.json`); wall-clock speed is measured by the repository
+//! benchmark, `perfbench/`, not here.
 //!
 //! Scale: the paper's model is O(TB) on 128 GPUs; these experiments use
 //! laptop-scale models and report the same *normalized* quantities the

@@ -8,9 +8,9 @@
 //! The timeline's *structure* (which spans, nesting, counts) is
 //! deterministic — every lifecycle event is batch-count driven — but the
 //! durations mix simulated transfer time with measured CPU time
-//! (quantize, decode, and merge are wall-clock, exactly as in
-//! [`crate::trajectory`]'s `ns` records), so byte-level content is
-//! machine-dependent and the artifact is opt-in output, not checked in.
+//! (quantize, decode, and merge are wall-clock), so byte-level content is
+//! machine-dependent and the artifact is opt-in output, not checked in
+//! (unlike the simulated-only [`crate::trajectory`] records).
 //! Open the JSONL in any `chrome://tracing`-compatible viewer (wrap the
 //! lines in a JSON array) to see the §4.3 overlap: quantize and upload
 //! spans running concurrent with the next interval's snapshot stall.
@@ -58,22 +58,19 @@ fn scenario_engine(seed: u64) -> Engine {
         .expect("scenario engine")
 }
 
-/// Runs the full checkpoint-lifecycle scenario and exports its timeline.
-/// `quick` shortens the post-restore tail (CI mode); the lifecycle
-/// coverage — checkpoint, failure, lazy restore, WAL replay, drain,
-/// scrub — is identical in both modes.
+/// Runs the full checkpoint-lifecycle scenario — checkpoint, failure,
+/// lazy restore, WAL replay, drain, scrub — and exports its timeline.
 ///
 /// The export is validated before it is returned: the span tree must
 /// satisfy every structural invariant and the JSONL must frame-parse
 /// with monotone timestamps. Errors are returned, not panicked, so the
 /// caller decides how loudly to fail.
-pub fn lifecycle_timeline(quick: bool) -> Result<TimelineArtifacts, String> {
+pub fn lifecycle_timeline() -> Result<TimelineArtifacts, String> {
     let mut e = scenario_engine(101);
-    let tail = if quick { 2 } else { 7 };
     e.train_batches(13).map_err(|err| err.to_string())?;
     e.simulate_failure_and_restore()
         .map_err(|err| err.to_string())?;
-    e.train_batches(tail).map_err(|err| err.to_string())?;
+    e.train_batches(7).map_err(|err| err.to_string())?;
     e.drain_lazy_restore().map_err(|err| err.to_string())?;
     e.scrub_now(None).map_err(|err| err.to_string())?;
 
@@ -97,7 +94,7 @@ mod tests {
 
     #[test]
     fn timeline_covers_the_whole_lifecycle_and_validates() {
-        let t = lifecycle_timeline(true).unwrap();
+        let t = lifecycle_timeline().unwrap();
         assert_eq!(t.trace_jsonl.lines().count(), t.spans);
         for name in [
             "\"name\":\"checkpoint\"",
@@ -121,8 +118,8 @@ mod tests {
     /// spans exist, how many of each — is batch-count driven and must match.
     #[test]
     fn timeline_structure_is_deterministic() {
-        let a = lifecycle_timeline(true).unwrap();
-        let b = lifecycle_timeline(true).unwrap();
+        let a = lifecycle_timeline().unwrap();
+        let b = lifecycle_timeline().unwrap();
         assert_eq!(a.spans, b.spans, "span count is batch-count driven");
         let names = |t: &TimelineArtifacts| {
             let mut v: Vec<String> = t

@@ -1,25 +1,18 @@
-//! Bench-trajectory records: the hot-path benchmark results that are
-//! checked in at the repo root as `BENCH_restore.json`,
-//! `BENCH_quant.json`, and `BENCH_wal.json`.
+//! Bench-trajectory records: the simulated checkpoint/restore costs
+//! checked in at the repo root as `BENCH_restore.json` and
+//! `BENCH_wal.json`.
 //!
-//! The `cnr_bench` binary (`cargo run --release -p cnr_bench --bin
-//! cnr_bench`) re-measures and rewrites both files; the criterion benches
-//! under `benches/{restore_scaling,quant_latency}.rs` call the same
-//! measurement functions, so the checked-in numbers and the bench output
-//! always come from one code path. CI's `bench-trajectory` job regenerates
-//! the files in quick mode and fails when the hot paths changed but
-//! neither JSON did — the trajectory must move with the code it measures.
+//! Every record is an output of the storage/network cost model — a
+//! [`SimClock`] duration (`simulated_us`), a ratio of two such durations
+//! (`fraction`), or a byte count (`bytes`) — so the files are identical on
+//! every machine and on every run. The `cnr_bench` binary (`cargo run
+//! --release -p cnr_bench --bin cnr_bench`) rewrites them; CI re-emits
+//! them and fails on any `diff` against the checked-in copies, so a
+//! change that moves a simulated number must commit the new files.
 //!
-//! Two kinds of quantity appear in the records and they age differently:
-//!
-//! * `simulated_us` values come off the [`SimClock`] and are exactly
-//!   reproducible anywhere;
-//! * `ns`/`ns_per_row` values are wall-clock on the emitting machine and
-//!   are comparable only against the same file's history — which is why
-//!   every emitted document carries a [`MachineInfo`] block (core count,
-//!   OS, arch): a cross-machine diff of wall-clock records is noise, and
-//!   the block makes that visible in review (e.g. a 1-core emitter can
-//!   never show a threaded-decode win).
+//! Wall-clock speed of our own code is not recorded here: the
+//! repository benchmark (`perfbench/`, declared in `BENCHMARK.json`)
+//! is the wall-clock harness.
 //!
 //! The JSON is hand-rolled (the workspace vendors no serde_json): flat
 //! records, stable ids, three decimals, so diffs stay reviewable. The
@@ -39,12 +32,10 @@ use cnr_model::{DlrmModel, ModelConfig, ShardPlan};
 use cnr_obs::json::escape;
 use cnr_quant::QuantScheme;
 use cnr_reader::ReaderState;
-use cnr_storage::{InMemoryStore, RemoteConfig, SimulatedRemoteStore};
+use cnr_storage::{RemoteConfig, SimulatedRemoteStore};
 use cnr_trainer::{Trainer, TrainerConfig};
 use cnr_workload::{DatasetSpec, SyntheticDataset, TableAccessSpec};
-use std::time::{Duration, Instant};
-
-use crate::workloads::{sampled_rows, trained_model};
+use std::time::Duration;
 
 /// One measured quantity.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,12 +44,10 @@ pub struct BenchRecord {
     pub id: String,
     /// Measured value in `unit`.
     pub value: f64,
-    /// Unit: `simulated_us` (deterministic) or `ns`/`ns_per_row`
-    /// (wall-clock on the emitting machine).
+    /// Unit: `simulated_us`, `fraction` or `bytes`.
     pub unit: &'static str,
     /// Measurement context the value is only interpretable under (e.g. the
-    /// `hot_fraction` a `first_batch` latency was measured at) — the
-    /// per-record analogue of the document's `machine` block.
+    /// `hot_fraction` a `first_batch` latency was measured at).
     pub ctx: Option<String>,
 }
 
@@ -78,47 +67,11 @@ impl BenchRecord {
     }
 }
 
-/// The machine a record set's wall-clock values were measured on.
-/// `simulated_us` records are machine-independent; `ns` / `ns_per_row`
-/// records are only interpretable next to this block (a 1-core emitter
-/// can never show a threaded-decode win, and core-count changes explain
-/// ordering flips in the checked-in history).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MachineInfo {
-    /// `std::thread::available_parallelism` on the emitting machine.
-    pub cores: usize,
-    /// `std::env::consts::OS`.
-    pub os: &'static str,
-    /// `std::env::consts::ARCH`.
-    pub arch: &'static str,
-}
-
-impl MachineInfo {
-    /// Describes the machine the current process runs on.
-    pub fn current() -> Self {
-        Self {
-            cores: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            os: std::env::consts::OS,
-            arch: std::env::consts::ARCH,
-        }
-    }
-}
-
-/// Serializes a record set as the checked-in JSON document. `machine`
-/// describes where the wall-clock records were measured.
-pub fn to_json(suite: &str, mode: &str, machine: &MachineInfo, records: &[BenchRecord]) -> String {
+/// Serializes a record set as the checked-in JSON document.
+pub fn to_json(suite: &str, records: &[BenchRecord]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"suite\": \"{}\",\n", escape(suite)));
-    out.push_str(&format!("  \"mode\": \"{}\",\n", escape(mode)));
-    out.push_str(&format!(
-        "  \"machine\": {{ \"cores\": {}, \"os\": \"{}\", \"arch\": \"{}\" }},\n",
-        machine.cores,
-        escape(machine.os),
-        escape(machine.arch)
-    ));
     out.push_str("  \"records\": [\n");
     for (i, r) in records.iter().enumerate() {
         let comma = if i + 1 < records.len() { "," } else { "" };
@@ -169,7 +122,7 @@ fn take_full_snapshot(
 /// workload both host scaling and the lazy first-batch win are visible.
 /// (The old `tiny` workload's 24 chunks made the manifest the bottleneck,
 /// hiding both.)
-pub fn restore_snapshot() -> (ModelConfig, TrainingSnapshot) {
+fn restore_snapshot() -> (ModelConfig, TrainingSnapshot) {
     let spec = DatasetSpec {
         seed: 2424,
         batch_size: 16,
@@ -183,31 +136,10 @@ pub fn restore_snapshot() -> (ModelConfig, TrainingSnapshot) {
     take_full_snapshot(&spec, 16, 3)
 }
 
-/// A checkpoint whose 4-bit decode dominates the restore: the workload of
-/// the serial-vs-threaded decode comparison.
-pub fn decode_snapshot(quick: bool) -> (ModelConfig, TrainingSnapshot) {
-    let (rows_a, rows_b, dim, batches) = if quick {
-        (3_000, 1_500, 16, 1)
-    } else {
-        (12_000, 6_000, 32, 2)
-    };
-    let spec = DatasetSpec {
-        seed: 4242,
-        batch_size: 16,
-        dense_dim: 4,
-        tables: vec![
-            TableAccessSpec::new(rows_a, 2, 1.0),
-            TableAccessSpec::new(rows_b, 1, 0.9),
-        ],
-        concept_seed: None,
-    };
-    take_full_snapshot(&spec, dim, batches)
-}
-
 /// Writes the restore-scaling checkpoint over `hosts` simulated downlinks
 /// and restores it, returning the simulated failure→ready-to-train time.
 /// Deterministic: the value comes off the [`SimClock`].
-pub fn simulated_ready_to_train(
+fn simulated_ready_to_train(
     model_cfg: &ModelConfig,
     snap: &TrainingSnapshot,
     hosts: usize,
@@ -250,7 +182,7 @@ pub fn simulated_ready_to_train(
 /// The hot fraction the checked-in `first_batch` series is measured at:
 /// restore the top 5% of rows by Zipf heat (plus the dense MLPs) before
 /// the first batch, drain the rest in the background.
-pub const FIRST_BATCH_HOT_FRACTION: f64 = 0.05;
+const FIRST_BATCH_HOT_FRACTION: f64 = 0.05;
 
 /// Writes the restore-scaling checkpoint over `hosts` downlinks and
 /// restores it *lazily* at `hot_fraction`, returning simulated
@@ -259,7 +191,7 @@ pub const FIRST_BATCH_HOT_FRACTION: f64 = 0.05;
 /// workload Zipf prior (no coverage boost: the bench restores into a
 /// fresh job, where no tracker history exists). Deterministic: both
 /// values come off the [`SimClock`].
-pub fn simulated_first_batch(
+fn simulated_first_batch(
     model_cfg: &ModelConfig,
     snap: &TrainingSnapshot,
     hosts: usize,
@@ -306,62 +238,9 @@ pub fn simulated_first_batch(
     )
 }
 
-/// Writes the decode-comparison checkpoint (4-bit, small single-part
-/// chunks) into an in-memory store, once, for repeated timed restores.
-pub fn decode_store(snap: &TrainingSnapshot) -> InMemoryStore {
-    let store = InMemoryStore::new();
-    let writer = CheckpointWriter::new(&store, "bench");
-    let cfg = CheckpointConfig {
-        chunk_rows: 512, // dozens of chunks: decode threads stay balanced
-        ..CheckpointConfig::default()
-    };
-    writer
-        .write(
-            snap,
-            CheckpointId(0),
-            None,
-            QuantScheme::Asymmetric { bits: 4 },
-            &cfg,
-        )
-        .expect("write");
-    store
-}
-
-/// Wall-clock of one full sharded restore from `store` on `workers`
-/// decode threads (single reader host, so the worker budget all lands on
-/// decode), minimized over `rounds` runs.
-pub fn decode_wall_clock(
-    store: &InMemoryStore,
-    model_cfg: &ModelConfig,
-    workers: usize,
-    rounds: usize,
-) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..rounds.max(1) {
-        let t0 = Instant::now();
-        let sharded = restore_sharded(
-            store,
-            "bench",
-            CheckpointId(0),
-            model_cfg,
-            &RestoreOptions {
-                reader_hosts: 1,
-                decode_workers: workers,
-                ..RestoreOptions::default()
-            },
-            Duration::ZERO,
-        )
-        .expect("restore");
-        let wall = t0.elapsed();
-        std::hint::black_box(&sharded.report.state);
-        best = best.min(wall);
-    }
-    best
-}
-
-/// The `BENCH_restore.json` record set: simulated ready-to-train per
-/// reader-host count, plus serial-vs-threaded decode wall-clock.
-pub fn restore_records(quick: bool) -> Vec<BenchRecord> {
+/// The `BENCH_restore.json` record set: simulated ready-to-train and lazy
+/// first-batch latency per reader-host count.
+pub fn restore_records() -> Vec<BenchRecord> {
     let mut records = Vec::new();
     let (model_cfg, snap) = restore_snapshot();
     for hosts in [1usize, 2, 4, 8] {
@@ -388,60 +267,21 @@ pub fn restore_records(quick: bool) -> Vec<BenchRecord> {
             .with_ctx(format!("hot_fraction={FIRST_BATCH_HOT_FRACTION}")),
         );
     }
-    let (decode_cfg, decode_snap) = decode_snapshot(quick);
-    let store = decode_store(&decode_snap);
-    let rounds = if quick { 2 } else { 5 };
-    for workers in [1usize, 4] {
-        let t = decode_wall_clock(&store, &decode_cfg, workers, rounds);
-        records.push(BenchRecord::new(
-            format!("decode_wall/workers={workers}"),
-            t.as_nanos() as f64,
-            "ns",
-        ));
-    }
-    records
-}
-
-/// The `BENCH_quant.json` record set: wall-clock ns per quantized row for
-/// each scheme the quant-latency bench tracks.
-pub fn quant_records(quick: bool) -> Vec<BenchRecord> {
-    use cnr_quant::RowSource;
-    let (_, model) = trained_model(1, if quick { 20 } else { 100 }, 16);
-    let rows = sampled_rows(&model, 64);
-    let rounds = if quick { 3 } else { 10 };
-    let mut records = Vec::new();
-    for (name, scheme) in quant_schemes() {
-        let mut best = Duration::MAX;
-        for _ in 0..rounds {
-            let t0 = Instant::now();
-            for i in 0..rows.num_rows() {
-                std::hint::black_box(scheme.quantize_row(rows.row(i)));
-            }
-            best = best.min(t0.elapsed());
-        }
-        records.push(BenchRecord::new(
-            format!("quantize_row/{name}"),
-            best.as_nanos() as f64 / rows.num_rows() as f64,
-            "ns_per_row",
-        ));
-    }
     records
 }
 
 /// The `BENCH_wal.json` record set: steady-state overhead of the
 /// per-iteration delta WAL against an otherwise identical engine, plus the
 /// cost of replaying the logged tail after a crash. All values come off
-/// the [`SimClock`], so they are exactly reproducible on every machine;
-/// quick mode only shortens the measured window (the per-iteration
-/// averages shift by well under a percent).
+/// the [`SimClock`], so they are exactly reproducible on every machine.
 ///
 /// The headline record, `steady_overhead/frac`, is asserted to sit inside
 /// the paper's 6–17% checkpoint-overhead band (Check-N-Run §5): logging a
 /// quantized delta every iteration must stay in the same cost regime the
 /// paper reports for per-iteration checkpointing.
-pub fn wal_records(quick: bool) -> Vec<BenchRecord> {
+pub fn wal_records() -> Vec<BenchRecord> {
     let warmup = 5u64; // first full checkpoint lands here; the WAL arms after it
-    let steady = if quick { 10u64 } else { 30 };
+    let steady = 30u64;
     let spec = DatasetSpec::tiny(808);
     let build = |wal: Option<DeltaWalConfig>| {
         let mut b = EngineBuilder::new(spec.clone(), ModelConfig::for_dataset(&spec, 8))
@@ -494,55 +334,27 @@ pub fn wal_records(quick: bool) -> Vec<BenchRecord> {
     ]
 }
 
-/// The scheme matrix both the quant-latency bench and the trajectory
-/// emitter measure.
-pub fn quant_schemes() -> Vec<(&'static str, QuantScheme)> {
-    vec![
-        ("fp32", QuantScheme::Fp32),
-        ("symmetric4", QuantScheme::Symmetric { bits: 4 }),
-        ("asymmetric4", QuantScheme::Asymmetric { bits: 4 }),
-        ("asymmetric8", QuantScheme::Asymmetric { bits: 8 }),
-        ("kmeans4", QuantScheme::KMeans { bits: 4 }),
-        (
-            "adaptive4_b25",
-            QuantScheme::AdaptiveAsymmetric {
-                bits: 4,
-                num_bins: 25,
-                ratio: 1.0,
-            },
-        ),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cnr_storage::InMemoryStore;
+    use std::time::Instant;
 
     #[test]
     fn json_is_well_formed_and_escaped() {
         let records = vec![
-            BenchRecord::new("a/b=1", 12.3456, "ns"),
+            BenchRecord::new("a/b=1", 12.3456, "bytes"),
             BenchRecord::new("quote\"back\\slash", 0.0, "simulated_us")
                 .with_ctx("hot_fraction=0.05"),
         ];
-        let machine = MachineInfo {
-            cores: 4,
-            os: "linux",
-            arch: "x86_64",
-        };
-        let json = to_json("restore", "quick", &machine, &records);
-        assert!(json.starts_with("{\n"));
+        let json = to_json("restore", &records);
+        assert!(json.starts_with("{\n  \"suite\": \"restore\",\n  \"records\": [\n"));
         assert!(json.ends_with("]\n}\n"));
-        assert!(json.contains("\"suite\": \"restore\""));
-        assert!(json.contains(
-            "\"machine\": { \"cores\": 4, \"os\": \"linux\", \"arch\": \"x86_64\" }"
-        ));
-        assert!(json.contains("\"id\": \"a/b=1\", \"value\": 12.346, \"unit\": \"ns\""));
+        assert!(json.contains("\"id\": \"a/b=1\", \"value\": 12.346, \"unit\": \"bytes\""));
         assert!(json.contains("\"unit\": \"simulated_us\", \"ctx\": \"hot_fraction=0.05\""));
         assert!(json.contains("quote\\\"back\\\\slash"));
-        // Exactly one comma between the two records (the other `},` closes
-        // the machine block), none after the last record.
-        assert_eq!(json.matches("},\n").count(), 2);
+        // Exactly one comma between the two records, none after the last.
+        assert_eq!(json.matches("},\n").count(), 1);
         assert!(json.contains("\" }\n  ]"));
     }
 
@@ -551,12 +363,32 @@ mod tests {
         let (cfg, snap) = restore_snapshot();
         let one = simulated_ready_to_train(&cfg, &snap, 1);
         let eight = simulated_ready_to_train(&cfg, &snap, 8);
-        assert!(eight < one, "more downlinks resume sooner: {one:?} vs {eight:?}");
+        assert!(
+            eight.as_secs_f64() < 0.5 * one.as_secs_f64(),
+            "8 downlinks must resume in under half the 1-host time: {one:?} vs {eight:?}"
+        );
         assert_eq!(
             one,
             simulated_ready_to_train(&cfg, &snap, 1),
             "simulated values must be exactly reproducible"
         );
+    }
+
+    /// CI re-emits `BENCH_restore.json` and diffs it byte for byte against
+    /// the checked-in copy, and checks the `first_batch` series is there:
+    /// both gates need the records to reproduce exactly and to carry that
+    /// series.
+    #[test]
+    fn restore_records_reproduce_and_carry_the_first_batch_series() {
+        let records = restore_records();
+        assert_eq!(records, restore_records(), "simulated records must reproduce");
+        for hosts in [1, 2, 4, 8] {
+            let id = format!("first_batch/hosts={hosts}");
+            assert!(
+                records.iter().any(|r| r.id == id),
+                "BENCH_restore.json must carry {id}"
+            );
+        }
     }
 
     #[test]
@@ -591,8 +423,8 @@ mod tests {
 
     #[test]
     fn wal_overhead_is_deterministic_and_inside_the_paper_band() {
-        let records = wal_records(true);
-        assert_eq!(records, wal_records(true), "simulated records must reproduce");
+        let records = wal_records();
+        assert_eq!(records, wal_records(), "simulated records must reproduce");
         let frac = records
             .iter()
             .find(|r| r.id == "steady_overhead/frac")
@@ -612,31 +444,70 @@ mod tests {
         assert!(replay > 0.0, "an intact tail must cost nonzero replay time");
     }
 
+    /// Pathology guard, not a speedup claim: whether four decode threads
+    /// beat one depends on the machine (on a 1-core host threading can only
+    /// lose by its overhead), but threaded decode running *several times*
+    /// slower than serial means the workers convoyed — e.g. the per-host
+    /// issuance lock held across the decode stage. The additive slack
+    /// absorbs thread spawn/join overhead on this small fixture.
     #[test]
-    fn decode_wall_clock_is_bit_stable_across_workers() {
-        // The wall-clock numbers vary by machine; the restored state must
-        // not. (The proptest suite covers this across geometries — this is
-        // the trajectory workload's own sanity check.)
-        let (cfg, snap) = decode_snapshot(true);
-        let store = decode_store(&snap);
-        let restore_with = |workers: usize| {
-            restore_sharded(
-                &store,
-                "bench",
-                CheckpointId(0),
-                &cfg,
-                &RestoreOptions {
-                    reader_hosts: 1,
-                    decode_workers: workers,
-                    ..RestoreOptions::default()
-                },
-                Duration::ZERO,
-            )
-            .expect("restore")
-            .report
-            .state
+    fn threaded_decode_does_not_convoy() {
+        // A checkpoint whose 4-bit decode dominates the restore, in dozens
+        // of 512-row chunks so the decode threads stay balanced.
+        let spec = DatasetSpec {
+            seed: 4242,
+            batch_size: 16,
+            dense_dim: 4,
+            tables: vec![
+                TableAccessSpec::new(3_000, 2, 1.0),
+                TableAccessSpec::new(1_500, 1, 0.9),
+            ],
+            concept_seed: None,
         };
-        assert_eq!(restore_with(1), restore_with(4));
+        let (model_cfg, snap) = take_full_snapshot(&spec, 16, 1);
+        let store = InMemoryStore::new();
+        CheckpointWriter::new(&store, "bench")
+            .write(
+                &snap,
+                CheckpointId(0),
+                None,
+                QuantScheme::Asymmetric { bits: 4 },
+                &CheckpointConfig {
+                    chunk_rows: 512,
+                    ..CheckpointConfig::default()
+                },
+            )
+            .expect("write");
+        // Best of two restores on one reader host, so the whole worker
+        // budget lands on decode.
+        let decode_wall = |workers: usize| {
+            (0..2)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    let sharded = restore_sharded(
+                        &store,
+                        "bench",
+                        CheckpointId(0),
+                        &model_cfg,
+                        &RestoreOptions {
+                            reader_hosts: 1,
+                            decode_workers: workers,
+                            ..RestoreOptions::default()
+                        },
+                        Duration::ZERO,
+                    )
+                    .expect("restore");
+                    std::hint::black_box(&sharded.report.state);
+                    t0.elapsed()
+                })
+                .min()
+                .expect("two rounds")
+        };
+        let serial = decode_wall(1);
+        let threaded = decode_wall(4);
+        assert!(
+            threaded < serial * 3 + Duration::from_millis(50),
+            "threaded decode convoyed: 1 worker {serial:?}, 4 workers {threaded:?}"
+        );
     }
 }
-

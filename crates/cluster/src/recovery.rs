@@ -1,7 +1,7 @@
 //! Wasted-work and recovery-time accounting.
 //!
-//! The paper motivates checkpoint frequency with re-training cost (§1
-//! criterion 2: "taking a checkpoint every 1000 batches may lead to wasting
+//! The paper motivates checkpoint frequency with re-training cost (§1,
+//! second requirement: "taking a checkpoint every 1000 batches may lead to wasting
 //! time re-training those 1000 batches"). This module quantifies that
 //! trade-off for a given checkpoint interval and failure history — the math
 //! behind the `failure_recovery` example and the interval-sweep ablation.

@@ -155,15 +155,13 @@ pub struct CheckpointConfig {
     /// default) disables it and a failure loses the interval since the
     /// last checkpoint, as in the paper.
     pub delta_wal: Option<DeltaWalConfig>,
-    /// Lazy (CPR-style) restores: resume training as soon as the dense
-    /// layers and the top-`lazy_hot_fraction` hot rows are applied, drain
-    /// the cold tail in the background, and fault cold rows in on demand.
-    /// Off by default — eager restores apply every chunk before resuming.
-    pub lazy_restore: bool,
-    /// Fraction of embedding rows (by access heat) that must be applied
-    /// before the first batch when `lazy_restore` is set; `1.0` degenerates
-    /// to eager timing.
-    pub lazy_hot_fraction: f64,
+    /// Lazy (CPR-style) restores at this hot fraction: resume training as
+    /// soon as the dense layers and this fraction of embedding rows (by
+    /// access heat) are applied, drain the cold tail in the background,
+    /// and fault cold rows in on demand; `Some(1.0)` degenerates to eager
+    /// timing. `None` (the default) restores eagerly — every chunk is
+    /// applied before resuming.
+    pub lazy_hot_fraction: Option<f64>,
 }
 
 impl Default for CheckpointConfig {
@@ -184,8 +182,7 @@ impl Default for CheckpointConfig {
             snapshot_bandwidth_per_device: 5.0e9,
             devices: 8,
             delta_wal: None,
-            lazy_restore: false,
-            lazy_hot_fraction: 0.1,
+            lazy_hot_fraction: None,
         }
     }
 }
@@ -235,8 +232,10 @@ impl CheckpointConfig {
         if let Some(wal) = &self.delta_wal {
             wal.validate()?;
         }
-        if !self.lazy_hot_fraction.is_finite() || !(0.0..=1.0).contains(&self.lazy_hot_fraction) {
-            return Err("lazy_hot_fraction must lie in [0, 1]".into());
+        if let Some(f) = self.lazy_hot_fraction {
+            if !f.is_finite() || !(0.0..=1.0).contains(&f) {
+                return Err("lazy_hot_fraction must lie in [0, 1]".into());
+            }
         }
         if let QuantMode::Fixed(s) = self.quant {
             let bits = s.bits();
@@ -251,13 +250,14 @@ impl CheckpointConfig {
     /// quantize-worker budget doubles as the decode budget (the recovery
     /// path runs on the same background CPU processes the writer used).
     pub fn restore_options(&self) -> crate::read::RestoreOptions {
+        let defaults = crate::read::RestoreOptions::default();
         crate::read::RestoreOptions {
             reader_hosts: self.reader_hosts.max(1),
             fetch_window: self.fetch_window,
             decode_workers: self.quantize_workers,
             fetch_retries: self.fetch_retries,
-            lazy: self.lazy_restore,
-            hot_fraction: self.lazy_hot_fraction,
+            lazy: self.lazy_hot_fraction.is_some(),
+            hot_fraction: self.lazy_hot_fraction.unwrap_or(defaults.hot_fraction),
         }
     }
 
@@ -334,11 +334,11 @@ mod tests {
                 ..CheckpointConfig::default()
             },
             CheckpointConfig {
-                lazy_hot_fraction: -0.5,
+                lazy_hot_fraction: Some(-0.5),
                 ..CheckpointConfig::default()
             },
             CheckpointConfig {
-                lazy_hot_fraction: 2.0,
+                lazy_hot_fraction: Some(2.0),
                 ..CheckpointConfig::default()
             },
         ] {

@@ -187,8 +187,7 @@ impl EngineBuilder {
     /// [`ResumeStats`]). Bit-identical to the eager path once the drain
     /// completes.
     pub fn lazy_restore(mut self, hot_fraction: f64) -> Self {
-        self.ckpt.lazy_restore = true;
-        self.ckpt.lazy_hot_fraction = hot_fraction;
+        self.ckpt.lazy_hot_fraction = Some(hot_fraction);
         self
     }
 

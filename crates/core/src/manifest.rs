@@ -71,26 +71,12 @@ pub struct ChunkMeta {
     pub bytes: u64,
     /// Multipart parts the chunk was uploaded in (1 = single part).
     pub parts: u32,
-    /// Table the chunk's rows belong to ([`ChunkMeta::UNKNOWN_TABLE`] when
-    /// the range is not recorded).
+    /// Table the chunk's rows belong to.
     pub table: u16,
-    /// Lowest row index in the chunk (`u32::MAX` when unknown).
+    /// Lowest row index in the chunk (`u32::MAX` for a chunk without rows).
     pub first_row: u32,
-    /// Highest row index in the chunk (`u32::MAX` when unknown).
+    /// Highest row index in the chunk (`u32::MAX` for a chunk without rows).
     pub last_row: u32,
-}
-
-impl ChunkMeta {
-    /// Sentinel `table` value for a chunk whose table/row range is not
-    /// recorded.
-    pub const UNKNOWN_TABLE: u16 = u16::MAX;
-
-    /// The `(table, first_row..=last_row)` range this chunk covers, when
-    /// recorded. Priority planning needs this to rank chunks by access
-    /// heat; unranked chunks rank conservatively hot.
-    pub fn row_range(&self) -> Option<(u16, u32, u32)> {
-        (self.table != Self::UNKNOWN_TABLE).then_some((self.table, self.first_row, self.last_row))
-    }
 }
 
 /// Per-writer-host summary of a sharded checkpoint (§4.4: every trainer
@@ -582,7 +568,10 @@ mod tests {
         let m = sample_manifest();
         assert_eq!(Manifest::decode(&m.encode_enveloped()).unwrap(), m);
         assert_eq!(Manifest::decode_payload(&m.encode()).unwrap(), m);
-        assert_eq!(m.chunks[1].row_range(), Some((1, 400, 499)));
+        assert_eq!(
+            (m.chunks[1].table, m.chunks[1].first_row, m.chunks[1].last_row),
+            (1, 400, 499)
+        );
     }
 
     #[test]

@@ -185,8 +185,8 @@ pub fn plan(chain: &[Manifest], reader_hosts: usize) -> Vec<Vec<FetchItem>> {
 /// first. Chunks whose hottest row scores at or above the top-`hot_fraction`
 /// cutoff are marked [`FetchItem::hot`]; a lazy restore resumes training
 /// once those (plus the dense MLPs and reader cursor, which ride the
-/// manifests fetched before any chunk) have been applied. Chunks without a
-/// recorded row range ([`crate::manifest::ChunkMeta::UNKNOWN_TABLE`]) rank
+/// manifests fetched before any chunk) have been applied. Chunks the heat
+/// model cannot score (a table or row range it does not cover) rank
 /// conservatively hottest — they cannot be deferred safely.
 ///
 /// Assignment remains greedy-lightest-host, but performed in heat order, so
@@ -201,13 +201,13 @@ pub fn plan_priority(
 ) -> Vec<Vec<FetchItem>> {
     let hosts = reader_hosts.max(1);
     let cutoff = heat.hot_cutoff(hot_fraction);
-    // Score every chunk of every level; unknown ranges score infinitely hot.
+    // Score every chunk of every level; unscorable ranges score infinitely
+    // hot.
     let mut scored: Vec<(f32, usize, &crate::manifest::ChunkMeta)> = Vec::new();
     for (level, manifest) in chain.iter().enumerate() {
         for chunk in &manifest.chunks {
-            let score = chunk
-                .row_range()
-                .and_then(|(t, first, last)| heat.score_range(t, first, last))
+            let score = heat
+                .score_range(chunk.table, chunk.first_row, chunk.last_row)
                 .unwrap_or(f32::INFINITY);
             scored.push((score, level, chunk));
         }
@@ -413,8 +413,8 @@ mod tests {
     #[test]
     fn priority_plan_treats_unranked_chunks_as_hottest() {
         let mut chain = vec![manifest_with_chunks(0, &[100; 4])];
-        // A manifest entry with no row range recorded.
-        chain[0].chunks[3].table = ChunkMeta::UNKNOWN_TABLE;
+        // A chunk of a table the heat model does not cover.
+        chain[0].chunks[3].table = 1;
         let heat = RowHeat::zipf(&[64], 1.05);
         let assignment = plan_priority(&chain, 1, &heat, 0.1);
         assert_eq!(

@@ -5,7 +5,8 @@
 //! verification. Production stores rot in the meantime — media decay,
 //! truncated repairs, replicas that diverge. The scrubber is the defense:
 //! it walks live objects *before* a restore needs them, validates each
-//! one's envelope (see [`crate::envelope`]), and repairs what it finds:
+//! one's envelope (see [`crate::envelope`]; a delta-log segment frame by
+//! frame, [`wal::verifies_clean`]), and repairs what it finds:
 //!
 //! * **Transit damage** — a read served by a sick replica — heals by
 //!   re-reading: the next read lands on a healthy replica (in simulation,
@@ -22,7 +23,6 @@
 //! (`cnr_cluster::scrub`) schedules sweeps and aggregates findings into
 //! run statistics.
 
-use crate::envelope;
 use crate::{wal, ObjectStore, Result};
 use bytes::Bytes;
 
@@ -151,19 +151,6 @@ impl<'a> Scrubber<'a> {
         report
     }
 
-    /// Whether `bytes` at `key` verify clean. WAL segments are bare
-    /// concatenations of enveloped frames, so the single-envelope
-    /// `unwrap` would reject a perfectly healthy one — they get the
-    /// frame-walking validator instead (routed by key name, with a
-    /// header-flag sniff as backstop for unrecognized key shapes).
-    fn verifies_clean(key: &str, bytes: &Bytes) -> bool {
-        if wal::is_wal_segment_key(key) || wal::looks_like_wal_segment(bytes) {
-            wal::validate_segment(bytes).is_ok()
-        } else {
-            envelope::unwrap(bytes).is_ok()
-        }
-    }
-
     fn scrub_one(&self, key: &str, report: &mut ScrubReport) {
         // An unreadable object, a live delta-log segment with a bad frame
         // and an object without one valid envelope all heal the same way
@@ -171,7 +158,7 @@ impl<'a> Scrubber<'a> {
         let clean = self
             .primary
             .get(key)
-            .is_ok_and(|first| Self::verifies_clean(key, &first));
+            .is_ok_and(|first| wal::verifies_clean(key, &first));
         if clean {
             report.clean += 1;
             return;
@@ -189,14 +176,14 @@ impl<'a> Scrubber<'a> {
     fn heal(&self, key: &str, attempts_used: u32) -> Option<Bytes> {
         for _ in attempts_used..self.read_attempts {
             if let Ok(bytes) = self.primary.get(key) {
-                if Self::verifies_clean(key, &bytes) {
+                if wal::verifies_clean(key, &bytes) {
                     return self.write_back(key, bytes);
                 }
             }
         }
         let replica = self.replica?;
         let bytes = replica.get(key).ok()?;
-        if Self::verifies_clean(key, &bytes) {
+        if wal::verifies_clean(key, &bytes) {
             return self.write_back(key, bytes);
         }
         None

@@ -25,17 +25,19 @@
 //!   a checkpoint chunk is only read back on restore, when `get` caches it.
 //! * cache hits are *revalidated*: local flash rots too, so every cached
 //!   object's envelope (see [`crate::envelope`]) is checksum-verified on
-//!   every hit. A failed check — bytes without an envelope included —
-//!   evicts the entry and falls through to the remote: the cache can delay
-//!   detection of remote corruption, but it can never convert local
-//!   corruption into data.
+//!   every hit — a delta-log segment frame by frame, exactly as the
+//!   scrubber checks it ([`wal::verifies_clean`]). A failed check — bytes
+//!   without an envelope included — evicts the entry and falls through to
+//!   the remote: the cache can delay detection of remote corruption, but it
+//!   can never convert local corruption into data.
 //!
 //! Listing, metadata, and capacity reflect the remote tier: the cache is an
 //! invisible accelerator, never the source of truth.
 
-use crate::envelope;
 use crate::multipart::{MultipartUpload, PartReceipt};
-use crate::{CacheStats, GetReceipt, ObjectMeta, ObjectStore, PutReceipt, Result, StorageError};
+use crate::{
+    wal, CacheStats, GetReceipt, ObjectMeta, ObjectStore, PutReceipt, Result, StorageError,
+};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -152,7 +154,7 @@ impl<C: ObjectStore, R: ObjectStore> TieredStore<C, R> {
     fn cache_lookup(&self, key: &str) -> Result<Option<Bytes>> {
         match self.cache.get(key) {
             Ok(data) => {
-                if envelope::unwrap(&data).is_err() {
+                if !wal::verifies_clean(key, &data) {
                     self.verify_evictions.fetch_add(1, Ordering::Relaxed);
                     self.cache_forget(key);
                     return Ok(None);
@@ -316,10 +318,10 @@ impl<C: ObjectStore, R: ObjectStore> ObjectStore for TieredStore<C, R> {
 
     fn offer_cached(&self, key: &str, data: Bytes) {
         // A reader reassembled the object from ranged reads (multi-part
-        // chunks can never populate via the miss path). Verify the envelope
-        // and that the size matches the remote's view of the object before
-        // retaining it.
-        if envelope::unwrap(&data).is_err() {
+        // chunks can never populate via the miss path). Verify it and that
+        // the size matches the remote's view of the object before retaining
+        // it.
+        if !wal::verifies_clean(key, &data) {
             return;
         }
         if matches!(self.remote.head(key), Ok(meta) if meta.size == data.len() as u64) {
@@ -379,7 +381,7 @@ impl<C: ObjectStore, R: ObjectStore> ObjectStore for TieredStore<C, R> {
 mod tests {
     use super::*;
     use crate::remote::{RemoteConfig, SimulatedRemoteStore};
-    use crate::InMemoryStore;
+    use crate::{envelope, InMemoryStore};
     use cnr_cluster::SimClock;
 
     fn tiered(capacity: u64) -> TieredStore<InMemoryStore, InMemoryStore> {
@@ -639,6 +641,50 @@ mod tests {
         // ...while a verified reassembly populates it.
         store.offer_cached("obj", clean.clone());
         assert_eq!(store.cache().get("obj").unwrap(), clean);
+    }
+
+    #[test]
+    fn multi_frame_wal_segments_hit_the_cache_and_bad_frames_evict() {
+        use crate::wal::{self, WalConfig, WalWriter};
+        use std::sync::Arc;
+
+        // A three-frame delta-log segment, written through the tiers.
+        let store = Arc::new(tiered(1 << 20));
+        let mut w = WalWriter::new(
+            Arc::clone(&store) as Arc<dyn ObjectStore>,
+            "job",
+            WalConfig::default(),
+        );
+        for i in 0u32..3 {
+            w.append(&i.to_le_bytes()).unwrap();
+        }
+        let key = wal::segment_key("job", 0);
+        let clean = store.remote().get(&key).unwrap();
+
+        // Frame-by-frame verification: a healthy segment is served from
+        // the cache on every read, never evicted as "corrupt".
+        assert_eq!(store.get(&key).unwrap(), clean);
+        assert_eq!(store.get(&key).unwrap(), clean);
+        assert_eq!((store.cache_hits(), store.cache_misses()), (2, 0));
+        assert_eq!(store.cache_verify_evictions(), 0);
+        assert_eq!(wal::replay(store.as_ref(), "job").unwrap().records.len(), 3);
+
+        // Rot one byte of the middle frame in the cached copy: the hit
+        // path evicts it and serves the remote's clean segment.
+        let mut poisoned = clean.to_vec();
+        let mid = poisoned.len() / 2;
+        poisoned[mid] ^= 0x40;
+        store.cache().put(&key, Bytes::from(poisoned.clone())).unwrap();
+        assert_eq!(store.get(&key).unwrap(), clean);
+        assert_eq!(store.cache_verify_evictions(), 1);
+        assert_eq!(store.cache_misses(), 1, "fell through to the remote");
+
+        // A reassembled segment is offered frame-verified too.
+        store.cache_forget(&key);
+        store.offer_cached(&key, Bytes::from(poisoned));
+        assert!(store.cache().get(&key).is_err(), "corrupt offer rejected");
+        store.offer_cached(&key, clean.clone());
+        assert_eq!(store.cache().get(&key).unwrap(), clean);
     }
 
     #[test]

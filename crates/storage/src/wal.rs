@@ -372,9 +372,7 @@ fn walk_segment(
 
 /// Validates one segment buffer without collecting records: every frame
 /// must verify and the frames must consume the buffer exactly. Returns the
-/// frame count, or a description of the first problem. This is what the
-/// scrubber uses — a WAL segment is multiple envelopes, so the plain
-/// single-envelope `inspect` would reject a perfectly healthy one.
+/// frame count, or a description of the first problem.
 pub fn validate_segment(buf: &[u8]) -> std::result::Result<usize, String> {
     if buf.is_empty() {
         return Err("empty wal segment".into());
@@ -384,6 +382,22 @@ pub fn validate_segment(buf: &[u8]) -> std::result::Result<usize, String> {
     match walk_segment(&owned, None, &mut records) {
         Ok(_) => Ok(records.len()),
         Err((off, reason)) => Err(format!("at offset {off}: {reason}")),
+    }
+}
+
+/// Whether the stored object `bytes` at `key` verifies clean: a WAL
+/// segment frame by frame ([`validate_segment`]), any other object as one
+/// envelope. A segment is a bare concatenation of enveloped frames, so the
+/// single-envelope [`envelope::unwrap`] would reject a healthy multi-frame
+/// one. Segments are recognized by key name, with a header-flag sniff as
+/// backstop for unrecognized key shapes. Every reader that checks a whole
+/// object without knowing what it holds — the scrubber, the tiered
+/// cache — calls this.
+pub fn verifies_clean(key: &str, bytes: &[u8]) -> bool {
+    if is_wal_segment_key(key) || looks_like_wal_segment(bytes) {
+        validate_segment(bytes).is_ok()
+    } else {
+        envelope::unwrap(bytes).is_ok()
     }
 }
 
