@@ -276,6 +276,8 @@ mod tests {
         // 1% hot: a genuine cold tail, and evaluating mid-drain sees
         // stale (fresh-init) values on touched-but-cold rows.
         assert!(points[0].pending_rows > 0, "1% hot must leave cold rows");
+        // Golden value: what the pre-materialization view evaluates to.
+        assert_eq!(points[0].mid_drain_logloss, 0.6385393019474869);
         assert!(
             points[0].degradation.abs() > 0.0,
             "held-out eval must notice the unmaterialized tail"

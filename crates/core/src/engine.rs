@@ -1942,12 +1942,20 @@ mod tests {
         let mut a = lazy_builder(0.05).build().unwrap();
         a.train_batches(13).unwrap();
         a.simulate_failure_and_restore().unwrap();
-        assert!(a.pending_lazy().is_some());
+        // Golden values: a refactor of the lazy tail must leave the cold
+        // set, the in-flight key set, every fault-in charge and the
+        // pre-materialization view exactly as they were.
+        let tail = a.pending_lazy().expect("cold tail pending");
+        assert_eq!(tail.pending_rows(), 500);
+        assert_eq!(tail.pending_keys().len(), 4);
         // Four batches stay inside the interval (no boundary, no forced
         // drain); the slow store keeps the clock short of the background
         // drain's completion, so every cold row a batch touches faults in.
         a.train_batches(4).unwrap();
         let resume = a.stats().resumes.last().unwrap();
+        assert_eq!(resume.fault_in_fetches, 19);
+        assert_eq!(resume.fault_in_time, Duration::from_nanos(14_895_850));
+        assert_eq!(a.trainer().model().state_hash(), 0xa599_659e_53a4_48a6, "mid-drain view");
         assert!(
             resume.fault_in_fetches > 0,
             "batches over a Zipf tail must touch some cold rows"
