@@ -23,7 +23,6 @@ pub fn print() {
 
     // Paper-scale snapshot stall: 32 GB HBM shards at 5 GB/s host copy.
     let cfg = CheckpointConfig {
-        devices: 128,
         snapshot_bandwidth_per_device: 5.0e9,
         ..CheckpointConfig::default()
     };
@@ -90,7 +89,6 @@ mod tests {
     #[test]
     fn paper_scale_claims_hold_in_our_models() {
         let cfg = CheckpointConfig {
-            devices: 128,
             snapshot_bandwidth_per_device: 5.0e9,
             ..CheckpointConfig::default()
         };

@@ -174,8 +174,8 @@ pub struct RecoveryEvent {
 ///
 /// Owns the failure model that can kill a *reader* host mid-restore (the
 /// read-side mirror of the writer-kill injection) and the log of every
-/// resume's [`ResumeBreakdown`]. The engine reports each restore here; the
-/// bench figures read the aggregate accessors.
+/// resume's [`ResumeBreakdown`]. The engine reports each restore here;
+/// aggregates over the run live in the engine's run statistics.
 #[derive(Debug, Clone)]
 pub struct RecoveryCoordinator {
     model: FailureModel,
@@ -220,50 +220,6 @@ impl RecoveryCoordinator {
     /// Every recorded recovery event, in order.
     pub fn events(&self) -> &[RecoveryEvent] {
         &self.events
-    }
-
-    /// Number of restores recorded.
-    pub fn resumes(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Sum of time-to-resume across all recorded restores — the downtime
-    /// the cluster paid to recoveries.
-    pub fn total_resume_time(&self) -> Duration {
-        self.events
-            .iter()
-            .map(|e| e.breakdown.time_to_resume())
-            .sum()
-    }
-
-    /// Mean time-to-resume per restore (zero when none recorded).
-    pub fn mean_time_to_resume(&self) -> Duration {
-        if self.events.is_empty() {
-            return Duration::ZERO;
-        }
-        self.total_resume_time() / self.events.len() as u32
-    }
-
-    /// Number of recorded restores that resumed lazily.
-    pub fn lazy_resumes(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| e.breakdown.mode == RestoreMode::Lazy)
-            .count()
-    }
-
-    /// Mean time-to-first-batch per restore (zero when none recorded).
-    /// Comparing this against [`Self::mean_time_to_resume`] is the lazy
-    /// restore's headline win.
-    pub fn mean_time_to_first_batch(&self) -> Duration {
-        if self.events.is_empty() {
-            return Duration::ZERO;
-        }
-        self.events
-            .iter()
-            .map(|e| e.breakdown.time_to_first_batch)
-            .sum::<Duration>()
-            / self.events.len() as u32
     }
 }
 
@@ -451,21 +407,9 @@ mod tests {
     }
 
     #[test]
-    fn coordinator_accumulates_resume_stats() {
+    fn coordinator_logs_every_restore_in_order() {
         let mut c = RecoveryCoordinator::new(FailureModel::None);
-        assert_eq!(c.resumes(), 0);
-        assert_eq!(c.mean_time_to_resume(), Duration::ZERO);
-        c.record(Duration::from_secs(100), breakdown(4, 0, 0));
-        c.record(Duration::from_secs(200), breakdown(8, 0, 0));
-        assert_eq!(c.resumes(), 2);
-        assert_eq!(c.total_resume_time(), Duration::from_secs(12));
-        assert_eq!(c.mean_time_to_resume(), Duration::from_secs(6));
-        assert_eq!(c.events()[0].at, Duration::from_secs(100));
-    }
-
-    #[test]
-    fn coordinator_tracks_lazy_resumes_and_first_batch() {
-        let mut c = RecoveryCoordinator::new(FailureModel::None);
+        assert!(c.events().is_empty());
         c.record(Duration::from_secs(1), breakdown(10, 0, 0));
         let lazy = ResumeBreakdown {
             mode: RestoreMode::Lazy,
@@ -474,13 +418,11 @@ mod tests {
             ..breakdown(10, 0, 0)
         };
         c.record(Duration::from_secs(5), lazy);
-        assert_eq!(c.lazy_resumes(), 1);
-        // (10s eager + 2s lazy) / 2; eager first-batch == full resume.
-        assert_eq!(c.mean_time_to_first_batch(), Duration::from_secs(6));
-        assert_eq!(c.mean_time_to_resume(), Duration::from_secs(10));
+        assert_eq!(c.events().len(), 2);
+        assert_eq!(c.events()[0].at, Duration::from_secs(1));
+        assert_eq!(c.events()[1].at, Duration::from_secs(5));
         // Events keep both the restore point and the mode for the figures.
-        assert_eq!(c.events()[1].breakdown.restore_point, RestorePoint::WalTip);
-        assert_eq!(c.events()[1].breakdown.mode, RestoreMode::Lazy);
+        assert_eq!(c.events()[1].breakdown, lazy);
     }
 
     #[test]

@@ -109,9 +109,10 @@ pub fn restore_degradation(
 
 /// One point of the accuracy-vs-eagerness ablation (CPR-style, §6.2
 /// analogue for lazy restore): restore with the given top-K hot fraction,
-/// evaluate *mid-drain* — cold rows still carry their fresh-init values,
-/// exactly what training sees if it never touches the cold tail — then
-/// drain and evaluate the fully materialized model.
+/// evaluate *mid-drain* — each pending row still holds the merge's zero
+/// template or an older level's hot value, exactly what training sees if it
+/// never touches the cold tail — then drain and evaluate the fully
+/// materialized model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EagernessPoint {
     /// Top-K hot-row fraction the lazy planner restored before first batch.
@@ -273,8 +274,9 @@ mod tests {
         let points = eagerness_ablation(&s, &cfg, &[0.01, 0.1, 1.0], 13, 30).unwrap();
         assert_eq!(points.len(), 3);
 
-        // 1% hot: a genuine cold tail, and evaluating mid-drain sees
-        // stale (fresh-init) values on touched-but-cold rows.
+        // 1% hot: a genuine cold tail, and evaluating mid-drain sees stale
+        // values (the zero template or an older level's hot value) on
+        // touched-but-pending rows.
         assert!(points[0].pending_rows > 0, "1% hot must leave cold rows");
         // Golden value: what the pre-materialization view evaluates to.
         assert_eq!(points[0].mid_drain_logloss, 0.6385393019474869);

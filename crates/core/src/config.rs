@@ -149,8 +149,6 @@ pub struct CheckpointConfig {
     /// Simulated host-copy bandwidth per device for the snapshot stall
     /// (GPU HBM → pinned host memory, §4.2).
     pub snapshot_bandwidth_per_device: f64,
-    /// Devices in the (simulated) training cluster.
-    pub devices: u32,
     /// Per-iteration delta WAL between full checkpoints; `None` (the
     /// default) disables it and a failure loses the interval since the
     /// last checkpoint, as in the paper.
@@ -180,7 +178,6 @@ impl Default for CheckpointConfig {
             fetch_retries: 2,
             retained_chains: 1,
             snapshot_bandwidth_per_device: 5.0e9,
-            devices: 8,
             delta_wal: None,
             lazy_hot_fraction: None,
         }
@@ -225,9 +222,6 @@ impl CheckpointConfig {
         }
         if self.snapshot_bandwidth_per_device <= 0.0 {
             return Err("snapshot bandwidth must be positive".into());
-        }
-        if self.devices == 0 {
-            return Err("need at least one device".into());
         }
         if let Some(wal) = &self.delta_wal {
             wal.validate()?;
@@ -351,7 +345,6 @@ mod tests {
         // §4.2: a model partitioned over 128 GPUs stalls <7s. With ~32 GB
         // HBM per device and 5 GB/s host copy, the bound is 6.4s.
         let cfg = CheckpointConfig {
-            devices: 128,
             snapshot_bandwidth_per_device: 5.0e9,
             ..Default::default()
         };

@@ -87,60 +87,22 @@ impl DeltaRecord {
     /// `iteration - 1`, or any earlier state this record's rows overwrite).
     /// Returns the number of embedding rows written.
     pub fn apply(&self, model: &mut DlrmModel) -> Result<u64> {
-        let mut rows_applied = 0u64;
-        for chunk in &self.chunks {
-            let t = chunk.table as usize;
-            let table = model
-                .tables_mut()
-                .get_mut(t)
-                .ok_or_else(|| CnrError::Corrupt(format!("delta chunk for unknown table {t}")))?;
-            let (dim, nrows) = (table.dim(), table.rows());
-            for (k, &idx) in chunk.row_indices.iter().enumerate() {
-                let idx = idx as usize;
-                if idx >= nrows {
-                    return Err(CnrError::Corrupt(format!(
-                        "delta row {idx} out of range for table {t} ({nrows} rows)"
-                    )));
-                }
-                let values = chunk.rows[k].dequantize();
-                if values.len() != dim {
-                    return Err(CnrError::Corrupt(format!(
-                        "delta row dim {} != table dim {dim}",
-                        values.len()
-                    )));
-                }
-                table.row_mut(idx).copy_from_slice(&values);
-                rows_applied += 1;
-            }
-            if let (Some(acc), Some(adagrad)) = (&chunk.optimizer_state, table.adagrad_mut()) {
-                for (k, &idx) in chunk.row_indices.iter().enumerate() {
-                    adagrad[idx as usize] = acc[k];
-                }
-            }
-        }
-        let (bottom, top) = model.mlps_mut();
-        bottom.unflatten(&self.bottom_mlp);
-        top.unflatten(&self.top_mlp);
-        model.set_iteration(self.iteration);
-        Ok(rows_applied)
+        self.apply_partial(model, |_, _, _, _| false)
     }
 
-    /// [`Self::apply`] for a lazily-restored model: MLPs, iteration, and
-    /// reader cursor semantics are unchanged, but embedding rows for which
-    /// `divert` returns true (rows not yet materialized) are *returned* as
-    /// `(table, row, values, adagrad)` tuples instead of written — the
-    /// caller buffers them and applies them when the row materializes.
-    /// Row deltas are whole-row overwrites, so deferral composes: applying
-    /// chunk levels then buffered deltas in replay order reproduces the
-    /// eager result bit-exactly.
-    #[allow(clippy::type_complexity)]
+    /// [`Self::apply`] for a lazily restored model: every embedding row is
+    /// first offered to `divert` as `(table, row, values, adagrad)`, and a
+    /// row it takes (returns true for) is not written into `model`. MLPs
+    /// and the iteration always apply. Row deltas are whole-row
+    /// overwrites, so a diverted row written on top of its chunk levels
+    /// reproduces the eager result bit-exactly. Returns the rows written
+    /// into `model`.
     pub fn apply_partial(
         &self,
         model: &mut DlrmModel,
-        mut divert: impl FnMut(u16, u32) -> bool,
-    ) -> Result<(u64, Vec<(u16, u32, Vec<f32>, Option<f32>)>)> {
+        mut divert: impl FnMut(u16, u32, &[f32], Option<f32>) -> bool,
+    ) -> Result<u64> {
         let mut rows_applied = 0u64;
-        let mut deferred: Vec<(u16, u32, Vec<f32>, Option<f32>)> = Vec::new();
         for chunk in &self.chunks {
             let t = chunk.table as usize;
             let table = model
@@ -163,8 +125,7 @@ impl DeltaRecord {
                     )));
                 }
                 let acc = chunk.optimizer_state.as_ref().map(|a| a[k]);
-                if divert(chunk.table, idx) {
-                    deferred.push((chunk.table, idx, values, acc));
+                if divert(chunk.table, idx, &values, acc) {
                     continue;
                 }
                 table.row_mut(i).copy_from_slice(&values);
@@ -178,7 +139,7 @@ impl DeltaRecord {
         bottom.unflatten(&self.bottom_mlp);
         top.unflatten(&self.top_mlp);
         model.set_iteration(self.iteration);
-        Ok((rows_applied, deferred))
+        Ok(rows_applied)
     }
 
     /// Serializes the record (the WAL frame payload).
@@ -291,20 +252,28 @@ mod tests {
         rec.apply(&mut eager).unwrap();
         // Divert every row of table 0; apply the rest.
         let mut partial = DlrmModel::new(cfg);
-        let (applied, deferred) = rec.apply_partial(&mut partial, |t, _| t == 0).unwrap();
-        let diverted = deferred.len() as u64;
-        assert!(diverted > 0, "table 0 rows must be diverted");
+        let mut diverted = Vec::new();
+        let applied = rec
+            .apply_partial(&mut partial, |t, row, values, acc| {
+                let take = t == 0;
+                if take {
+                    diverted.push((row, values.to_vec(), acc));
+                }
+                take
+            })
+            .unwrap();
+        assert!(!diverted.is_empty(), "table 0 rows must be diverted");
         assert_eq!(
-            applied + diverted,
+            applied + diverted.len() as u64,
             rec.touched_rows(),
-            "every row is either applied or returned, never dropped"
+            "every row is either applied or diverted, never dropped"
         );
         // MLPs and iteration always apply.
         assert_eq!(partial.iteration(), 1);
         assert_eq!(partial.bottom().flatten(), eager.bottom().flatten());
-        // Replaying the deferred tuples reproduces the eager result.
-        for (t, row, values, acc) in deferred {
-            let table = &mut partial.tables_mut()[t as usize];
+        // Writing the diverted rows reproduces the eager result.
+        let table = &mut partial.tables_mut()[0];
+        for (row, values, acc) in diverted {
             table.row_mut(row as usize).copy_from_slice(&values);
             if let (Some(a), Some(adagrad)) = (acc, table.adagrad_mut()) {
                 adagrad[row as usize] = a;

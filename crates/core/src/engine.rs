@@ -37,7 +37,7 @@ use cnr_cluster::{
     FailureModel, HostKill, RecoveryCoordinator, RestorePoint, ScrubFindings, ScrubScheduler,
     SimClock,
 };
-use cnr_model::{DlrmModel, ModelConfig, ShardPlan};
+use cnr_model::{DlrmModel, ModelConfig, ModelState, ShardPlan};
 use cnr_quant::QuantScheme;
 use cnr_reader::{ReaderConfig, ReaderMaster, ReaderState};
 use cnr_storage::{wal, ObjectStore, RemoteConfig, Scrubber, SimulatedRemoteStore, WalWriter};
@@ -284,6 +284,7 @@ impl EngineBuilder {
             wal,
             wal_unsynced_bytes: 0,
             pending_lazy: None,
+            spare_snapshot: None,
             lazy_drain_done_at: Duration::ZERO,
         })
     }
@@ -347,10 +348,14 @@ pub struct Engine {
     /// Frame bytes appended since the last WAL sync — the byte count the
     /// next sync's simulated device time is charged for.
     wal_unsynced_bytes: u64,
-    /// Cold tail of an in-progress lazy restore: rows the background drain
-    /// has not yet materialized, plus WAL deltas deferred until they are.
-    /// `None` once fully drained (or when restores are eager).
+    /// Tail of an in-progress lazy restore: the rows the background drain
+    /// has not yet materialized, with their eager values (WAL replay
+    /// included). `None` once fully drained (or when restores are eager).
     pending_lazy: Option<read::LazyRestore>,
+    /// The last checkpoint's snapshot of the model, whose buffers the next
+    /// snapshot copies into: without it every checkpoint faults in a fresh
+    /// model-sized copy.
+    spare_snapshot: Option<ModelState>,
     /// Simulated instant the lazy restore's background fetch finishes —
     /// past it a full drain costs no additional transfer time.
     lazy_drain_done_at: Duration,
@@ -472,7 +477,13 @@ impl Engine {
         let scheme = self.current_scheme();
         let snapshot = self
             .taker
-            .take(&mut self.trainer, reader_state, decision, &self.config);
+            .take_reusing(
+                &mut self.trainer,
+                reader_state,
+                decision,
+                &self.config,
+                self.spare_snapshot.take(),
+            );
 
         let id = CheckpointId(self.next_ckpt_id);
         self.next_ckpt_id += 1;
@@ -501,6 +512,7 @@ impl Engine {
         )?;
         self.uploads_durable_at = record.completed_at;
         self.last_chunk_count = record.manifest.chunks.len() as u32;
+        self.spare_snapshot = Some(snapshot.model);
 
         // Feed the intermittent predictor with the size as a fraction of the
         // last full checkpoint in the same encoding.
@@ -633,23 +645,15 @@ impl Engine {
             self.drain_lazy_restore()?;
             return Ok(());
         }
-        let mut lazy = self.pending_lazy.take().expect("checked above");
+        let lazy = self.pending_lazy.as_mut().expect("checked above");
+        let model = self.trainer.model_mut();
         let mut fetches = 0u64;
         let mut bytes = 0u64;
-        let mut result = Ok(());
-        'tables: for (t, rows) in batch.sparse.iter().enumerate() {
+        for (t, rows) in batch.sparse.iter().enumerate() {
             for &row in rows {
-                if !lazy.is_materialized(t as u16, row) {
-                    match lazy.fault_in(self.trainer.model_mut(), t as u16, row) {
-                        Ok(b) => {
-                            bytes += b;
-                            fetches += 1;
-                        }
-                        Err(e) => {
-                            result = Err(e);
-                            break 'tables;
-                        }
-                    }
+                if let Some(b) = lazy.fault_in(model, t as u16, row) {
+                    bytes += b;
+                    fetches += 1;
                 }
             }
         }
@@ -662,32 +666,28 @@ impl Engine {
                 r.fault_in_time += cost;
             }
         }
-        if !lazy.is_drained() {
-            self.pending_lazy = Some(lazy);
+        if lazy.is_drained() {
+            self.pending_lazy = None;
         }
-        result
+        Ok(())
     }
 
     /// Forces an in-progress lazy restore to finish: waits out the
     /// background fetch (advancing the simulated clock to its completion
-    /// point), applies every remaining cold row and deferred WAL delta, and
-    /// retires the lazy state. Returns the rows materialized (zero when no
-    /// lazy restore is pending). Called automatically when training catches
-    /// up with the drain and before every checkpoint.
+    /// point), copies every still-pending row from the restore's target
+    /// into the model, and retires the lazy state. Returns the rows
+    /// materialized (zero when no lazy restore is pending). Called
+    /// automatically when training catches up with the drain and before
+    /// every checkpoint.
     pub fn drain_lazy_restore(&mut self) -> Result<u64> {
         let Some(mut lazy) = self.pending_lazy.take() else {
             return Ok(0);
         };
         let drain_start = self.clock.now();
         self.clock.advance_to(self.lazy_drain_done_at);
-        let outcome = lazy.drain(self.trainer.model_mut())?;
-        observe::record_lazy_drain_span(
-            &self.obs,
-            drain_start,
-            self.clock.now(),
-            outcome.rows_materialized,
-        );
-        Ok(outcome.rows_materialized)
+        let rows = lazy.drain(self.trainer.model_mut());
+        observe::record_lazy_drain_span(&self.obs, drain_start, self.clock.now(), rows);
+        Ok(rows)
     }
 
     /// The in-progress lazy restore's cold tail, if any.
@@ -816,8 +816,10 @@ impl Engine {
             None
         };
         // A failure mid-lazy-drain discards the previous restore's cold
-        // tail along with the rest of the live training state.
+        // tail along with the rest of the live training state; the spare
+        // snapshot goes too, so it never adds to the restore's memory peak.
         self.pending_lazy = None;
+        self.spare_snapshot = None;
         let sharded = read::restore_sharded_with_heat(
             self.store.as_ref(),
             &self.job,
@@ -874,25 +876,15 @@ impl Engine {
                 {
                     continue;
                 }
-                match &mut lazy_tail {
-                    Some(lazy) => {
-                        // Dense weights and the cursor replay immediately;
-                        // row deltas targeting not-yet-materialized rows
-                        // are buffered and re-applied when their row
-                        // arrives, preserving bit-identity with the eager
-                        // path once the drain completes.
-                        let (_, deferred) = delta.apply_partial(
-                            self.trainer.model_mut(),
-                            |t, r| !lazy.is_materialized(t, r),
-                        )?;
-                        for (t, r, values, acc) in deferred {
-                            lazy.defer_delta(t, r, values, acc);
-                        }
-                    }
-                    None => {
-                        delta.apply(self.trainer.model_mut())?;
-                    }
-                }
+                // Rows still pending in a lazy restore take the delta in
+                // its target, on top of their chunk levels, so the view
+                // stays as the merge left it; everything else (dense
+                // weights, the cursor, live rows) lands in the model.
+                delta.apply_partial(self.trainer.model_mut(), |t, r, values, acc| {
+                    lazy_tail
+                        .as_mut()
+                        .is_some_and(|lazy| lazy.write_pending(t, r, values, acc))
+                })?;
                 if mark_replayed {
                     // Replayed rows diverge from the baseline exactly like
                     // trained rows do: future one-shot incrementals must
@@ -1066,9 +1058,10 @@ impl Engine {
     ///
     /// Deliberately does **not** fault in lazily restored rows: evaluating
     /// mid-drain measures the model exactly as training would see it if it
-    /// never touched the cold tail — the accuracy-vs-eagerness ablation
-    /// relies on this (drain first via [`Engine::drain_lazy_restore`] for
-    /// the fully materialized number).
+    /// never touched the cold tail — each pending row still holds the
+    /// merge's zero template or an older level's hot value. The
+    /// accuracy-vs-eagerness ablation relies on this (drain first via
+    /// [`Engine::drain_lazy_restore`] for the fully materialized number).
     pub fn evaluate(&self, from: u64, to: u64) -> EvalReport {
         evaluate(self.trainer.model(), &self.dataset, from, to)
     }
@@ -1458,12 +1451,12 @@ mod tests {
             r.drain_wait + r.fetch + r.decode + r.merge
         );
         // The cluster-layer coordinator saw the same event.
-        assert_eq!(e.recovery().resumes(), 1);
+        assert_eq!(e.recovery().events().len(), 1);
         assert_eq!(
             e.recovery().events()[0].breakdown.time_to_resume(),
             r.time_to_resume
         );
-        assert!(e.recovery().mean_time_to_resume() > Duration::ZERO);
+        assert!(e.stats().mean_time_to_resume() > Duration::ZERO);
     }
 
     #[test]
@@ -1955,7 +1948,11 @@ mod tests {
         let resume = a.stats().resumes.last().unwrap();
         assert_eq!(resume.fault_in_fetches, 19);
         assert_eq!(resume.fault_in_time, Duration::from_nanos(14_895_850));
-        assert_eq!(a.trainer().model().state_hash(), 0xa599_659e_53a4_48a6, "mid-drain view");
+        assert_eq!(
+            a.trainer().model().state_hash(),
+            0xa599_659e_53a4_48a6,
+            "mid-drain view"
+        );
         assert!(
             resume.fault_in_fetches > 0,
             "batches over a Zipf tail must touch some cold rows"
@@ -2042,8 +2039,9 @@ mod tests {
         assert_eq!(resume.restore_point, RestorePoint::WalTip);
         assert_eq!(resume.wal_replayed_iterations, 3);
         assert!(resume.time_to_first_batch < resume.time_to_resume);
-        // Dense weights and the cursor replayed immediately; any deferred
-        // row deltas land with the drain — back to the exact failed state.
+        // Dense weights and the cursor replayed into the model; row deltas
+        // on pending rows went to the restore's target and land with the
+        // drain — back to the exact failed state.
         a.drain_lazy_restore().unwrap();
         assert_eq!(
             a.trainer().model().state_hash(),

@@ -1,141 +1,78 @@
-//! Lazy-restore state: cold chunks held back for fault-in or drain.
+//! Lazy-restore state: a pending mask over the eager merge.
 //!
-//! A priority-ordered restore ([`super::planner::plan_priority`]) applies
-//! only the *hot* chunks before training resumes (CPR-style partial
-//! recovery); everything else is fetched in the background but not yet
-//! merged. [`LazyRestore`] owns that deferred tail:
+//! A priority-ordered restore ([`super::planner::plan_priority`]) lets
+//! training resume once the *hot* chunks are in (CPR-style partial
+//! recovery); the cold ones keep arriving in the background. The merge
+//! ([`super::merge::merge`]) decides every row's value in one pass and
+//! hands the rest of the restore a [`LazyRestore`]:
 //!
-//! * **cold chunks** — decoded but unapplied; their rows sit at the merge
-//!   template until materialized,
-//! * **per-row application ranks** — which chunk (in the serial
-//!   `(level, key)` order) last wrote each row, so a late-materializing
-//!   cold chunk from an *older* level never clobbers a hot chunk from a
-//!   newer one,
-//! * **deferred WAL row deltas** — delta-log rows whose target row was not
-//!   materialized at replay time, buffered in replay order and applied the
-//!   moment the row exists.
+//! * **target** — the eager value of every *pending* row (one whose last
+//!   writer in application order is a cold chunk). The model view holds
+//!   the zero template or an older level's hot value there until the row
+//!   materializes,
+//! * **pending mask** — which rows still wait,
+//! * **per-row charge** — the bytes a fault-in of the row is charged: the
+//!   per-row shares of the cold chunks after its last hot writer,
+//! * **cold-chunk row lists** — for each cold chunk, the pending rows a
+//!   fault-in reads from it ([`LazyRestore::pending_keys`]).
 //!
-//! Materialization happens two ways, both bit-identical to the eager path
-//! once complete: a **fault-in** (training touched an unrestored row — a
-//! counted, synchronous, targeted fetch) or the background **drain** (the
-//! rest of the restore finished arriving). Per row, the apply order is
-//! always: chunk levels ascending, then deferred deltas in replay order —
-//! exactly the order the eager path used.
+//! WAL replay writes rows that are still pending into the target
+//! ([`LazyRestore::write_pending`]), so the target stays the eager result
+//! plus the replayed tail. Materializing a row copies its target value,
+//! optimizer accumulator included, into the model. That happens on a
+//! **fault-in** (training touched an unrestored row — a counted,
+//! synchronous, targeted fetch) or in the background **drain** (the rest of
+//! the restore finished arriving). Either way the row ends bit-identical to
+//! the eager path.
 
-use super::shard_reader::DecodedChunk;
-use crate::error::{CnrError, Result};
+use super::merge::write_row;
+use cnr_model::state::TableState;
 use cnr_model::DlrmModel;
-use std::collections::HashMap;
 
-/// One WAL row delta deferred until its row materializes.
-#[derive(Debug, Clone)]
-struct RowDelta {
-    values: Vec<f32>,
-    acc: Option<f32>,
-}
-
-/// What a background drain applied.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DrainOutcome {
-    /// Rows materialized by the drain (not counting earlier fault-ins).
-    pub rows_materialized: u64,
-    /// Deferred WAL row deltas applied on top of them.
-    pub deltas_applied: u64,
-}
-
-/// Deferred tail of a lazy restore: cold chunks plus everything needed to
-/// materialize their rows bit-identically to the eager path.
+/// The tail of a lazy restore: the rows that still wait for their eager
+/// value, and that value.
 #[derive(Debug, Clone)]
 pub struct LazyRestore {
-    /// Cold chunks with their rank in the serial `(level, key)` application
-    /// order (rank 0 = "nothing applied"), ascending.
-    cold: Vec<(u32, DecodedChunk)>,
-    /// Per table, per row: rank of the last chunk whose value was applied.
-    applied_rank: Vec<Vec<u32>>,
-    /// Per table, per row: whether the row holds its final restored value.
-    materialized: Vec<Vec<bool>>,
-    /// Rows still waiting on a cold chunk.
+    /// Eager values of the pending rows (other rows are not read).
+    target: Vec<TableState>,
+    /// Per table, per row: whether the row still waits.
+    pending: Vec<Vec<bool>>,
+    /// Per table, per row: bytes a fault-in of the row is charged.
+    charge: Vec<Vec<u64>>,
+    /// Per cold chunk, in application order: key, table, and the pending
+    /// rows a fault-in reads from it.
+    cold: Vec<(String, u16, Vec<u32>)>,
+    /// Rows still pending.
     pending_rows: u64,
-    /// WAL row deltas buffered for unmaterialized rows, replay order per row.
-    deferred: HashMap<(u16, u32), Vec<RowDelta>>,
-    /// Synchronous targeted fetches performed for touched-but-unrestored
-    /// rows (one per faulted row, however many chunk levels it needed).
-    fault_in_fetches: u64,
-    /// Bytes attributed to fault-in fetches (per-row share of each chunk).
-    fault_in_bytes: u64,
-    /// Deferred deltas buffered over the restore's WAL replay.
-    deferred_deltas: u64,
 }
 
 impl LazyRestore {
-    /// Builds the deferred tail from every decoded chunk of a restore
-    /// (hot ones applied already, cold ones not). `row_counts` is the
-    /// per-table row geometry of the model being restored.
-    pub fn new(decoded: Vec<DecodedChunk>, row_counts: &[usize]) -> Self {
-        let mut chunks = decoded;
-        chunks.sort_by(|a, b| (a.level, &a.key).cmp(&(b.level, &b.key)));
-        let mut applied_rank: Vec<Vec<u32>> =
-            row_counts.iter().map(|&n| vec![0u32; n]).collect();
-        let mut cold: Vec<(u32, DecodedChunk)> = Vec::new();
-        for (i, chunk) in chunks.into_iter().enumerate() {
-            let rank = i as u32 + 1;
-            if chunk.hot {
-                let t = chunk.table as usize;
-                if let Some(table) = applied_rank.get_mut(t) {
-                    for &row in &chunk.row_indices {
-                        if let Some(r) = table.get_mut(row as usize) {
-                            *r = rank;
-                        }
-                    }
-                }
-            } else {
-                cold.push((rank, chunk));
-            }
-        }
-        // A row is pending only if some cold chunk outranks what the hot
-        // merge already wrote to it; a cold chunk fully shadowed by a newer
-        // hot chunk leaves its rows final.
-        let mut materialized: Vec<Vec<bool>> =
-            row_counts.iter().map(|&n| vec![true; n]).collect();
-        let mut pending_rows = 0u64;
-        for (rank, chunk) in &cold {
-            let t = chunk.table as usize;
-            for &row in &chunk.row_indices {
-                let r = row as usize;
-                let stale = applied_rank
-                    .get(t)
-                    .and_then(|tbl| tbl.get(r))
-                    .is_some_and(|&applied| *rank > applied);
-                if stale {
-                    if let Some(m) = materialized.get_mut(t).and_then(|tbl| tbl.get_mut(r)) {
-                        if *m {
-                            *m = false;
-                            pending_rows += 1;
-                        }
-                    }
-                }
-            }
-        }
+    /// Assembles the tail the merge recorded.
+    pub(super) fn new(
+        target: Vec<TableState>,
+        pending: Vec<Vec<bool>>,
+        charge: Vec<Vec<u64>>,
+        cold: Vec<(String, u16, Vec<u32>)>,
+    ) -> Self {
+        let pending_rows = pending.iter().flatten().filter(|&&p| p).count() as u64;
         Self {
+            target,
+            pending,
+            charge,
             cold,
-            applied_rank,
-            materialized,
             pending_rows,
-            deferred: HashMap::new(),
-            fault_in_fetches: 0,
-            fault_in_bytes: 0,
-            deferred_deltas: 0,
         }
     }
 
     /// Whether `(table, row)` already holds its final restored value.
     /// Unknown coordinates count as materialized (nothing to fault in).
     pub fn is_materialized(&self, table: u16, row: u32) -> bool {
-        self.materialized
+        !self
+            .pending
             .get(table as usize)
             .and_then(|t| t.get(row as usize))
             .copied()
-            .unwrap_or(true)
+            .unwrap_or(false)
     }
 
     /// Rows still waiting on a cold chunk.
@@ -143,196 +80,93 @@ impl LazyRestore {
         self.pending_rows
     }
 
-    /// Whether every row is materialized and every deferred delta applied.
+    /// Whether every row is materialized.
     pub fn is_drained(&self) -> bool {
-        self.pending_rows == 0 && self.deferred.is_empty()
+        self.pending_rows == 0
     }
 
-    /// Keys of cold chunks that still cover at least one unmaterialized
-    /// row — the in-flight set a concurrent scrub sweep must not rewrite
-    /// out from under a fault-in's targeted read.
+    /// Keys of cold chunks that still cover at least one pending row — the
+    /// in-flight set a concurrent scrub sweep must not rewrite out from
+    /// under a fault-in's targeted read.
     pub fn pending_keys(&self) -> Vec<String> {
         self.cold
             .iter()
-            .filter(|(rank, chunk)| {
-                let t = chunk.table as usize;
-                chunk.row_indices.iter().any(|&row| {
-                    let pending = !self.is_materialized(chunk.table, row);
-                    let outranks = self
-                        .applied_rank
-                        .get(t)
-                        .and_then(|tbl| tbl.get(row as usize))
-                        .is_some_and(|&applied| *rank > applied);
-                    pending && outranks
-                })
-            })
-            .map(|(_, chunk)| chunk.key.clone())
+            .filter(|(_, table, rows)| rows.iter().any(|&r| !self.is_materialized(*table, r)))
+            .map(|(key, _, _)| key.clone())
             .collect()
     }
 
-    /// Synchronous targeted fetches performed so far.
-    pub fn fault_in_fetches(&self) -> u64 {
-        self.fault_in_fetches
-    }
-
-    /// Bytes attributed to fault-in fetches so far.
-    pub fn fault_in_bytes(&self) -> u64 {
-        self.fault_in_bytes
-    }
-
-    /// Deltas currently buffered (diagnostics).
-    pub fn deferred_deltas(&self) -> u64 {
-        self.deferred_deltas
-    }
-
-    /// Buffers one WAL row delta for an unmaterialized row; it applies when
-    /// the row materializes (fault-in or drain), after all chunk levels.
-    /// Caller contract: only defer rows where [`Self::is_materialized`] is
-    /// false — deltas for live rows must apply immediately instead.
-    pub fn defer_delta(&mut self, table: u16, row: u32, values: Vec<f32>, acc: Option<f32>) {
-        self.deferred_deltas += 1;
-        self.deferred
-            .entry((table, row))
-            .or_default()
-            .push(RowDelta { values, acc });
+    /// Routes one replayed WAL row: a pending row takes it in the target,
+    /// after all its chunk levels, and `true` is returned; a materialized
+    /// row is left to the caller (`false`), which writes it into the model.
+    pub fn write_pending(
+        &mut self,
+        table: u16,
+        row: u32,
+        values: &[f32],
+        acc: Option<f32>,
+    ) -> bool {
+        if self.is_materialized(table, row) {
+            return false;
+        }
+        write_row(&mut self.target[table as usize], row as usize, values, acc);
+        true
     }
 
     /// Materializes `(table, row)` because training touched it before the
-    /// drain finished: applies the row's cold chunk values (levels
-    /// ascending), then its deferred deltas (replay order). Counted as one
-    /// targeted fetch; returns the bytes attributed to it (each touched
-    /// chunk's per-row share) so the caller can charge simulated transfer
-    /// time. A no-op returning 0 for rows already materialized.
-    pub fn fault_in(&mut self, model: &mut DlrmModel, table: u16, row: u32) -> Result<u64> {
+    /// drain finished. Returns the bytes the targeted fetch is charged, so
+    /// the caller can charge simulated transfer time, or `None` when the
+    /// row was not pending (nothing fetched).
+    pub fn fault_in(&mut self, model: &mut DlrmModel, table: u16, row: u32) -> Option<u64> {
         if self.is_materialized(table, row) {
-            return Ok(0);
+            return None;
         }
-        let mut bytes = 0u64;
-        for i in 0..self.cold.len() {
-            let (rank, ref chunk) = self.cold[i];
-            if chunk.table != table {
-                continue;
-            }
-            let applied = self.applied_rank[table as usize][row as usize];
-            if rank <= applied {
-                continue;
-            }
-            if let Ok(k) = chunk.row_indices.binary_search(&row) {
-                bytes += chunk.bytes / chunk.row_indices.len().max(1) as u64;
-                let (rank, chunk) = {
-                    let (r, c) = &self.cold[i];
-                    (*r, c.clone())
-                };
-                apply_chunk_row(model, &chunk, k)?;
-                self.applied_rank[table as usize][row as usize] = rank;
+        let (t, r) = (table as usize, row as usize);
+        self.materialize(model, t, r);
+        Some(self.charge[t][r])
+    }
+
+    /// Materializes every pending row. After this the model is
+    /// bit-identical to an eager restore plus full WAL replay. Returns the
+    /// rows materialized (0 on a second call).
+    pub fn drain(&mut self, model: &mut DlrmModel) -> u64 {
+        let before = self.pending_rows;
+        for t in 0..self.pending.len() {
+            for r in 0..self.pending[t].len() {
+                if self.pending[t][r] {
+                    self.materialize(model, t, r);
+                }
             }
         }
-        self.apply_deferred(model, table, row)?;
-        self.materialized[table as usize][row as usize] = true;
+        before
+    }
+
+    /// Copies row `r` of table `t` from the target into the model.
+    fn materialize(&mut self, model: &mut DlrmModel, t: usize, r: usize) {
+        let table = &mut model.tables_mut()[t];
+        let dim = table.dim();
+        let src = &self.target[t];
+        table
+            .row_mut(r)
+            .copy_from_slice(&src.data[r * dim..(r + 1) * dim]);
+        if let (Some(acc), Some(adagrad)) = (&src.adagrad, table.adagrad_mut()) {
+            adagrad[r] = acc[r];
+        }
+        self.pending[t][r] = false;
         self.pending_rows -= 1;
-        self.fault_in_fetches += 1;
-        self.fault_in_bytes += bytes;
-        Ok(bytes)
     }
-
-    /// Applies everything still deferred: every cold chunk's unapplied rows
-    /// (ascending rank, so per-row level order is preserved), then every
-    /// remaining deferred delta. After this the model is bit-identical to
-    /// an eager restore plus full WAL replay. Idempotent.
-    pub fn drain(&mut self, model: &mut DlrmModel) -> Result<DrainOutcome> {
-        let mut outcome = DrainOutcome::default();
-        let cold = std::mem::take(&mut self.cold);
-        for (rank, chunk) in &cold {
-            let t = chunk.table as usize;
-            for (k, &row) in chunk.row_indices.iter().enumerate() {
-                let r = row as usize;
-                let Some(applied) = self.applied_rank.get_mut(t).and_then(|tbl| tbl.get_mut(r))
-                else {
-                    continue;
-                };
-                if *rank <= *applied {
-                    continue;
-                }
-                apply_chunk_row(model, chunk, k)?;
-                *applied = *rank;
-            }
-        }
-        for tbl in 0..self.materialized.len() {
-            for row in 0..self.materialized[tbl].len() {
-                if !self.materialized[tbl][row] {
-                    self.materialized[tbl][row] = true;
-                    self.pending_rows -= 1;
-                    outcome.rows_materialized += 1;
-                    outcome.deltas_applied +=
-                        self.apply_deferred(model, tbl as u16, row as u32)?;
-                }
-            }
-        }
-        debug_assert!(self.deferred.is_empty(), "deltas deferred for live rows");
-        self.deferred.clear();
-        Ok(outcome)
-    }
-
-    /// Applies and consumes the deferred deltas of one row, replay order.
-    fn apply_deferred(&mut self, model: &mut DlrmModel, table: u16, row: u32) -> Result<u64> {
-        let Some(deltas) = self.deferred.remove(&(table, row)) else {
-            return Ok(0);
-        };
-        let n = deltas.len() as u64;
-        let t = table as usize;
-        let tbl = model
-            .tables_mut()
-            .get_mut(t)
-            .ok_or_else(|| CnrError::Corrupt(format!("deferred delta for unknown table {t}")))?;
-        let dim = tbl.dim();
-        for d in deltas {
-            if d.values.len() != dim {
-                return Err(CnrError::Corrupt(format!(
-                    "deferred delta dim {} != table dim {dim}",
-                    d.values.len()
-                )));
-            }
-            tbl.row_mut(row as usize).copy_from_slice(&d.values);
-            if let (Some(acc), Some(adagrad)) = (d.acc, tbl.adagrad_mut()) {
-                adagrad[row as usize] = acc;
-            }
-        }
-        Ok(n)
-    }
-}
-
-/// Writes cold-chunk row `k` of `chunk` into the live model.
-fn apply_chunk_row(model: &mut DlrmModel, chunk: &DecodedChunk, k: usize) -> Result<()> {
-    let t = chunk.table as usize;
-    let row = chunk.row_indices[k] as usize;
-    let table = model
-        .tables_mut()
-        .get_mut(t)
-        .ok_or_else(|| CnrError::Corrupt(format!("cold chunk for unknown table {t}")))?;
-    if row >= table.rows() {
-        return Err(CnrError::Corrupt(format!(
-            "cold chunk row {row} beyond table {t}"
-        )));
-    }
-    let values = &chunk.values[k];
-    if values.len() != table.dim() {
-        return Err(CnrError::Corrupt(format!(
-            "cold row decoded to {} values, expected {}",
-            values.len(),
-            table.dim()
-        )));
-    }
-    table.row_mut(row).copy_from_slice(values);
-    if let (Some(src), Some(adagrad)) = (&chunk.optimizer_state, table.adagrad_mut()) {
-        adagrad[row] = src[k];
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manifest::{CheckpointId, CheckpointKind, ChunkMeta, Manifest, TableMeta};
+    use crate::read::merge::merge;
+    use crate::read::DecodedChunk;
+    use cnr_model::state::ModelState;
     use cnr_model::ModelConfig;
+    use cnr_quant::QuantScheme;
+    use cnr_reader::ReaderState;
     use cnr_workload::DatasetSpec;
     use std::time::Duration;
 
@@ -340,22 +174,18 @@ mod tests {
         let spec = DatasetSpec::tiny(5);
         let mut cfg = ModelConfig::for_dataset(&spec, 4);
         // Row-wise AdaGrad so the tests cover optimizer-state fault-in too.
-        cfg.optimizer = cnr_model::OptimizerConfig::RowWiseAdagrad { lr: 0.05, eps: 1e-8 };
+        cfg.optimizer = cnr_model::OptimizerConfig::RowWiseAdagrad {
+            lr: 0.05,
+            eps: 1e-8,
+        };
         DlrmModel::new(cfg)
     }
 
-    fn chunk(
-        level: usize,
-        key: &str,
-        table: u16,
-        rows: &[u32],
-        fill: f32,
-        hot: bool,
-    ) -> DecodedChunk {
+    fn chunk(level: usize, key: &str, rows: &[u32], fill: f32, hot: bool) -> DecodedChunk {
         DecodedChunk {
             level,
             key: key.to_string(),
-            table,
+            table: 0,
             row_indices: rows.to_vec(),
             values: rows.iter().map(|_| vec![fill; 4]).collect(),
             optimizer_state: Some(vec![fill; rows.len()]),
@@ -365,71 +195,153 @@ mod tests {
         }
     }
 
+    /// Merges `chunks` lazily over a chain with one manifest per level, and
+    /// loads the view into `m`. Returns the tail and the eager merge's
+    /// tables.
+    fn restore(m: &mut DlrmModel, chunks: Vec<DecodedChunk>) -> (LazyRestore, Vec<TableState>) {
+        let levels = chunks.iter().map(|c| c.level + 1).max().unwrap_or(1);
+        let chain: Vec<Manifest> = (0..levels)
+            .map(|level| Manifest {
+                id: CheckpointId(level as u64),
+                kind: if level == 0 {
+                    CheckpointKind::Full
+                } else {
+                    CheckpointKind::Incremental
+                },
+                base: level.checked_sub(1).map(|b| CheckpointId(b as u64)),
+                iteration: 0,
+                reader_state: ReaderState::fresh(),
+                scheme: QuantScheme::Fp32,
+                tables: m
+                    .tables()
+                    .iter()
+                    .map(|t| TableMeta {
+                        rows: t.rows() as u64,
+                        dim: t.dim() as u16,
+                        has_optimizer_state: t.adagrad().is_some(),
+                    })
+                    .collect(),
+                bottom_mlp: vec![],
+                top_mlp: vec![],
+                chunks: chunks
+                    .iter()
+                    .filter(|c| c.level == level)
+                    .map(|c| ChunkMeta {
+                        key: c.key.clone(),
+                        shard: 0,
+                        rows: c.row_indices.len() as u32,
+                        bytes: c.bytes,
+                        parts: 1,
+                        table: c.table,
+                        first_row: c.row_indices[0],
+                        last_row: *c.row_indices.last().unwrap(),
+                    })
+                    .collect(),
+                shards: vec![],
+                payload_bytes: 0,
+            })
+            .collect();
+        let eager = merge(&chain, chunks.clone(), false).unwrap();
+        let lazy = merge(&chain, chunks, true).unwrap();
+        ModelState {
+            tables: lazy.tables,
+            bottom: m.bottom().flatten(),
+            top: m.top().flatten(),
+            iteration: 0,
+        }
+        .restore(m);
+        (
+            lazy.lazy.expect("lazy merge returns its tail"),
+            eager.tables,
+        )
+    }
+
+    fn acc(m: &DlrmModel, row: usize) -> f32 {
+        m.tables()[0].adagrad().unwrap()[row]
+    }
+
     #[test]
     fn cold_rows_are_pending_until_faulted_in() {
         let mut m = model();
-        let lazy_chunks = vec![
-            chunk(0, "a", 0, &[0, 1], 1.0, true),
-            chunk(0, "b", 0, &[2, 3], 2.0, false),
+        let chunks = vec![
+            chunk(0, "a", &[0, 1], 1.0, true),
+            chunk(0, "b", &[2, 3], 2.0, false),
+            chunk(1, "c", &[3], 3.0, false),
         ];
-        let row_counts: Vec<usize> = m.tables().iter().map(|t| t.rows()).collect();
-        let mut lazy = LazyRestore::new(lazy_chunks, &row_counts);
+        let (mut lazy, eager) = restore(&mut m, chunks);
         assert_eq!(lazy.pending_rows(), 2);
         assert!(lazy.is_materialized(0, 0) && lazy.is_materialized(0, 1));
-        assert!(!lazy.is_materialized(0, 2));
-        assert_eq!(lazy.pending_keys(), vec!["b".to_string()]);
+        assert!(!lazy.is_materialized(0, 3));
+        assert_eq!(lazy.pending_keys(), vec!["b".to_string(), "c".to_string()]);
+        assert_eq!(
+            m.tables()[0].row(3),
+            &[0.0; 4],
+            "view holds the zero template"
+        );
 
-        let bytes = lazy.fault_in(&mut m, 0, 2).unwrap();
-        assert_eq!(bytes, 100, "per-row share of the 2-row chunk");
-        assert_eq!(lazy.fault_in_fetches(), 1);
-        assert!(lazy.is_materialized(0, 2));
-        assert_eq!(m.tables()[0].row(2), &[2.0; 4]);
+        // Row 3 reads both cold levels: 100 bytes from each 1-row share.
+        assert_eq!(lazy.fault_in(&mut m, 0, 3), Some(200));
+        assert_eq!(m.tables()[0].row(3), &eager[0].data[12..16]);
+        assert_eq!(m.tables()[0].row(3), &[3.0; 4]);
+        assert_eq!(acc(&m, 3), 3.0);
+        assert_eq!(lazy.pending_keys(), vec!["b".to_string()]);
         // Re-faulting a live row is free and uncounted.
-        assert_eq!(lazy.fault_in(&mut m, 0, 2).unwrap(), 0);
-        assert_eq!(lazy.fault_in_fetches(), 1);
+        assert_eq!(lazy.fault_in(&mut m, 0, 3), None);
+        assert_eq!(lazy.fault_in(&mut m, 0, 2), Some(100));
+        assert!(lazy.is_drained() && lazy.pending_keys().is_empty());
     }
 
     #[test]
     fn older_cold_chunk_never_clobbers_newer_hot_data() {
         let mut m = model();
-        // Level 0 cold covers row 1; level 1 hot (already merged) rewrote
-        // it. The cold chunk is fully shadowed: nothing pending, and a
-        // drain must not overwrite the hot value.
-        m.tables_mut()[0].row_mut(1).copy_from_slice(&[9.0; 4]);
+        // Row 1: cold level 0 shadowed by hot level 1 — final, not pending.
+        // Row 2: cold, hot, then cold again — pending, and only the last
+        // cold level is fetched or counted in flight for it.
         let chunks = vec![
-            chunk(0, "old", 0, &[1], 5.0, false),
-            chunk(1, "new", 0, &[1], 9.0, true),
+            chunk(0, "old", &[1, 2], 5.0, false),
+            chunk(1, "new", &[1, 2], 9.0, true),
+            chunk(2, "newest", &[2], 7.0, false),
         ];
-        let row_counts: Vec<usize> = m.tables().iter().map(|t| t.rows()).collect();
-        let mut lazy = LazyRestore::new(chunks, &row_counts);
-        assert_eq!(lazy.pending_rows(), 0, "shadowed cold chunk leaves rows final");
-        assert!(lazy.pending_keys().is_empty());
-        lazy.drain(&mut m).unwrap();
-        assert_eq!(m.tables()[0].row(1), &[9.0; 4], "hot value survives the drain");
+        let (mut lazy, _) = restore(&mut m, chunks);
+        assert_eq!(lazy.pending_rows(), 1);
+        assert!(lazy.is_materialized(0, 1));
+        assert_eq!(lazy.pending_keys(), vec!["newest".to_string()]);
+        assert_eq!(
+            m.tables()[0].row(2),
+            &[9.0; 4],
+            "view holds the older hot value"
+        );
+        assert_eq!(lazy.fault_in(&mut m, 0, 2), Some(100));
+        assert_eq!(m.tables()[0].row(2), &[7.0; 4]);
+        assert_eq!(lazy.drain(&mut m), 0);
+        assert_eq!(
+            m.tables()[0].row(1),
+            &[9.0; 4],
+            "hot value survives the drain"
+        );
+        assert_eq!(acc(&m, 1), 9.0);
     }
 
     #[test]
-    fn drain_applies_levels_then_deferred_deltas_in_order() {
+    fn wal_delta_on_a_pending_row_lands_after_its_chunk_levels() {
         let mut m = model();
         let chunks = vec![
-            chunk(0, "base", 0, &[0, 1], 1.0, false),
-            chunk(1, "incr", 0, &[1], 2.0, false),
+            chunk(0, "base", &[0, 1], 1.0, false),
+            chunk(1, "incr", &[1], 2.0, false),
         ];
-        let row_counts: Vec<usize> = m.tables().iter().map(|t| t.rows()).collect();
-        let mut lazy = LazyRestore::new(chunks, &row_counts);
+        let (mut lazy, _) = restore(&mut m, chunks);
         assert_eq!(lazy.pending_rows(), 2);
-        // Two deferred deltas for row 1: the later one must win.
-        lazy.defer_delta(0, 1, vec![3.0; 4], Some(3.0));
-        lazy.defer_delta(0, 1, vec![4.0; 4], Some(4.0));
-        let outcome = lazy.drain(&mut m).unwrap();
-        assert_eq!(outcome.rows_materialized, 2);
-        assert_eq!(outcome.deltas_applied, 2);
+        // Two replayed deltas for row 1: the later one must win.
+        assert!(lazy.write_pending(0, 1, &[3.0; 4], Some(3.0)));
+        assert!(lazy.write_pending(0, 1, &[4.0; 4], Some(4.0)));
+        assert_eq!(m.tables()[0].row(1), &[0.0; 4], "the view is untouched");
+        assert_eq!(lazy.drain(&mut m), 2);
         assert!(lazy.is_drained());
         assert_eq!(m.tables()[0].row(0), &[1.0; 4], "level 0 value");
-        assert_eq!(m.tables()[0].row(1), &[4.0; 4], "last deferred delta wins");
-        assert_eq!(m.tables()[0].adagrad().unwrap()[1], 4.0);
-        // Idempotent.
-        let again = lazy.drain(&mut m).unwrap();
-        assert_eq!(again, DrainOutcome::default());
+        assert_eq!(m.tables()[0].row(1), &[4.0; 4], "last replayed delta wins");
+        assert_eq!(acc(&m, 1), 4.0);
+        // A materialized row is the caller's to write.
+        assert!(!lazy.write_pending(0, 1, &[5.0; 4], None));
+        assert_eq!(lazy.drain(&mut m), 0, "idempotent");
     }
 }

@@ -19,14 +19,19 @@
 //!
 //! * [`planner`] assigns every chunk of the restore chain to a reader
 //!   host, balancing bytes, using the manifest's `ChunkMeta.parts` as the
-//!   ranged-fetch plan.
+//!   ranged-fetch plan. A lazy restore plans in priority order and marks
+//!   the chunks needed before first batch *hot*.
 //! * [`shard_reader`] runs one host's share through the
 //!   [`scheduler::FetchScheduler`], which issues ranged reads
 //!   ([`cnr_storage::ObjectStore::get_part`]) with a bounded in-flight
 //!   window and bounded transient-failure retries. A host killed
 //!   mid-restore hands its unread chunks back.
 //! * [`merge`] reassembles the model bit-identically to the serial path
-//!   and re-seeds the modification tracker.
+//!   and re-seeds the modification tracker. It is the only stage that
+//!   orders chunks for application. In lazy mode the same pass leaves the
+//!   rows whose last writer is cold pending in a [`LazyRestore`], a mask
+//!   over the eager result that [`lazy`] materializes row by row (fault-in)
+//!   or all at once (drain).
 //!
 //! The coordinator here ([`restore_sharded`]) re-shards a dead reader
 //! host's remaining chunks onto the survivors (mirroring the write side's
@@ -40,7 +45,7 @@ pub mod planner;
 pub mod scheduler;
 pub mod shard_reader;
 
-pub use lazy::{DrainOutcome, LazyRestore};
+pub use lazy::LazyRestore;
 pub use planner::{FetchItem, RowHeat};
 pub use scheduler::{FetchScheduler, FetchStatus};
 pub use shard_reader::{DecodedChunk, ReadOutcome, ShardReader};
@@ -72,8 +77,9 @@ pub struct RestoreOptions {
     /// fails.
     pub fetch_retries: u32,
     /// Lazy (CPR-style) restore: fetch in priority order, apply only hot
-    /// chunks before declaring first batch, and hand the cold tail back as
-    /// a [`LazyRestore`] for fault-in or background drain.
+    /// chunks to the model view before declaring first batch, and hand the
+    /// rows still pending back as a [`LazyRestore`] for fault-in or
+    /// background drain.
     pub lazy: bool,
     /// Fraction of rows (by heat rank) that must be applied before first
     /// batch in lazy mode; `1.0` makes lazy equivalent to eager.
@@ -145,8 +151,8 @@ pub struct ShardedRestore {
     /// restore this equals `ready_at`; for a lazy one it is when the last
     /// *hot* chunk landed (the cold tail keeps draining past it).
     pub first_batch_at: Duration,
-    /// The cold tail of a lazy restore (rows not yet applied, awaiting
-    /// fault-in or drain); `None` for eager restores.
+    /// The tail of a lazy restore (rows whose eager value is not yet in
+    /// the view, awaiting fault-in or drain); `None` for eager restores.
     pub lazy: Option<LazyRestore>,
     /// Reader hosts that died mid-restore (their remaining chunks were
     /// re-sharded onto the survivors).
@@ -234,12 +240,13 @@ pub fn restore_sharded_with_heat(
     // Chunk fetches may not start before the plan that names them exists.
     fetch_sched.set_floor(fetch_sched.ready_at());
     let plan_floor = fetch_sched.ready_at();
-    let row_counts: Vec<usize> = newest.tables.iter().map(|t| t.rows as usize).collect();
     let uniform_heat;
     let assignments = if options.lazy {
         let heat = match heat {
             Some(h) => h,
             None => {
+                let row_counts: Vec<usize> =
+                    newest.tables.iter().map(|t| t.rows as usize).collect();
                 uniform_heat = RowHeat::uniform(&row_counts);
                 &uniform_heat
             }
@@ -307,8 +314,8 @@ pub fn restore_sharded_with_heat(
     }
 
     // --- Merge: assemble the model bit-identically to the serial path. --
-    // (Lazy mode applies hot chunks only; the cold tail becomes the
-    // LazyRestore, and first batch is stamped at the last hot arrival.)
+    // (Lazy mode applies hot chunks to the view and leaves the rest
+    // pending in the LazyRestore; first batch is the last hot arrival.)
     let chunks_fetched = decoded.len() as u64;
     let chunk_bytes: u64 = decoded.iter().map(|d| d.bytes).sum();
     let hot_ready = decoded
@@ -319,12 +326,7 @@ pub fn restore_sharded_with_heat(
         .unwrap_or(plan_floor);
     host_activity.sort_by_key(|a| a.host);
     let merge_t0 = Instant::now();
-    let (merged, lazy_tail) = if options.lazy {
-        let tail = LazyRestore::new(decoded.clone(), &row_counts);
-        (merge::merge_where(&chain, decoded, |c| c.hot)?, Some(tail))
-    } else {
-        (merge::merge(&chain, decoded)?, None)
-    };
+    let merged = merge::merge(&chain, decoded, options.lazy)?;
     let merge_time = merge_t0.elapsed();
 
     let manifest_bytes: u64 = chain.iter().map(Manifest::stored_len).sum();
@@ -395,7 +397,7 @@ pub fn restore_sharded_with_heat(
         breakdown,
         ready_at,
         first_batch_at,
-        lazy: lazy_tail,
+        lazy: merged.lazy,
         killed_hosts,
         fetch_status,
         host_activity,
@@ -902,7 +904,7 @@ mod tests {
             let mut tail = sharded.lazy.expect("lazy restore returns its cold tail");
             let mut model = DlrmModel::new(model_cfg.clone());
             sharded.report.state.restore(&mut model);
-            tail.drain(&mut model).unwrap();
+            tail.drain(&mut model);
             assert!(tail.is_drained());
             assert_eq!(
                 ModelState::extract(&model),

@@ -62,12 +62,33 @@ impl SnapshotTaker {
         decision: Decision,
         config: &CheckpointConfig,
     ) -> TrainingSnapshot {
+        self.take_reusing(trainer, reader_state, decision, config, None)
+    }
+
+    /// [`Self::take`] that copies the model into `spare` — an earlier
+    /// snapshot's model state the caller no longer needs — instead of
+    /// allocating a fresh copy, as a host-side snapshot buffer is reused
+    /// from one checkpoint to the next.
+    pub fn take_reusing(
+        &self,
+        trainer: &mut Trainer,
+        reader_state: ReaderState,
+        decision: Decision,
+        config: &CheckpointConfig,
+        spare: Option<ModelState>,
+    ) -> TrainingSnapshot {
         // Stall = largest shard / host-copy bandwidth (§4.2).
         let max_shard = self.shard_plan.max_device_bytes(trainer.model().config());
         let stall = config.snapshot_stall(max_shard);
         trainer.stall(stall);
 
-        let model = ModelState::extract(trainer.model());
+        let model = match spare {
+            Some(mut state) => {
+                state.extract_into(trainer.model());
+                state
+            }
+            None => ModelState::extract(trainer.model()),
+        };
         let row_counts = trainer.model().config().row_counts();
         let delta = match (decision.kind, decision.tracker) {
             (CheckpointKind::Full, TrackerAction::SnapshotReset) => {

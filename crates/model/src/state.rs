@@ -50,6 +50,31 @@ impl ModelState {
         }
     }
 
+    /// [`Self::extract`] into this state's own buffers when their shapes
+    /// match the model's (a fresh copy otherwise), so a repeated snapshot
+    /// writes into memory it already holds instead of faulting in a new
+    /// copy of every table.
+    pub fn extract_into(&mut self, model: &DlrmModel) {
+        let same_shape = self.tables.len() == model.tables().len()
+            && self.tables.iter().zip(model.tables()).all(|(s, t)| {
+                s.data.len() == t.data().len()
+                    && s.adagrad.as_ref().map(Vec::len) == t.adagrad().map(<[f32]>::len)
+            });
+        if !same_shape {
+            *self = Self::extract(model);
+            return;
+        }
+        for (s, t) in self.tables.iter_mut().zip(model.tables()) {
+            s.data.copy_from_slice(t.data());
+            if let (Some(dst), Some(src)) = (&mut s.adagrad, t.adagrad()) {
+                dst.copy_from_slice(src);
+            }
+        }
+        self.bottom = model.bottom().flatten();
+        self.top = model.top().flatten();
+        self.iteration = model.iteration();
+    }
+
     /// Restores this state into `model`. Panics on shape mismatch — loading
     /// a checkpoint into the wrong architecture must never proceed silently.
     pub fn restore(&self, model: &mut DlrmModel) {
@@ -126,6 +151,26 @@ mod tests {
         assert_ne!(model.state_hash(), hash_before);
         state.restore(&mut model);
         assert_eq!(model.state_hash(), hash_before, "restore must be bit-exact");
+    }
+
+    #[test]
+    fn extract_into_equals_a_fresh_extract() {
+        let (ds, mut model) = trained_model(5);
+        let mut state = ModelState::extract(&model);
+        for i in 5..10 {
+            model.train_batch(&ds.batch(i), |_, _| {});
+        }
+        state.extract_into(&model);
+        assert_eq!(state, ModelState::extract(&model), "buffers reused");
+        // A state of another shape is replaced by a fresh copy.
+        let mut other = ModelState {
+            tables: vec![],
+            bottom: vec![],
+            top: vec![],
+            iteration: 0,
+        };
+        other.extract_into(&model);
+        assert_eq!(other, ModelState::extract(&model));
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub use metrics::{CapacityPoint, StoreMetrics};
 pub use multipart::{MultipartUpload, PartReceipt};
 pub use remote::{RemoteConfig, SimulatedRemoteStore};
 pub use scrub::{ScrubReport, Scrubber};
-pub use tiered::{EvictionPolicy, TieredStore};
+pub use tiered::TieredStore;
 pub use wal::{WalConfig, WalRecord, WalReplay, WalTail, WalWriter, WalWriterStats};
 
 use bytes::Bytes;

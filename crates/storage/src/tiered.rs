@@ -12,11 +12,9 @@
 //!   controller cares about.
 //! * `get` serves from the cache when it can, falling back to the remote
 //!   and re-populating the cache on a miss.
-//! * the cache is bounded and size-aware: victims are evicted once
-//!   `cache_capacity` logical bytes are exceeded, in insertion order
-//!   ([`EvictionPolicy::Fifo`], the default — checkpoint write traffic is
-//!   sequential) or least-recently-*read* order ([`EvictionPolicy::Lru`],
-//!   the better fit for restore traffic that re-reads a working set).
+//! * the cache is bounded and size-aware: victims are evicted in insertion
+//!   order (checkpoint write traffic is sequential) until the resident
+//!   bytes fit `cache_capacity` logical bytes again.
 //! * ranged reads ([`ObjectStore::get_range`] / [`ObjectStore::get_part`])
 //!   are served by slicing a cached object locally; a miss falls through to
 //!   the remote's ranged read (paying its channel), and re-populates the
@@ -44,26 +42,12 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// How [`TieredStore`] picks eviction victims once the cache budget is
-/// exceeded. Eviction is size-aware under either policy: victims are
-/// evicted until the resident bytes fit the budget again.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Evict in insertion order.
-    #[default]
-    Fifo,
-    /// Evict the least-recently-read object: every cache hit refreshes the
-    /// object's position in the eviction queue.
-    Lru,
-}
-
 /// A local cache tier in front of a remote backend.
 pub struct TieredStore<C, R> {
     cache: C,
     remote: R,
     /// Cache budget in logical bytes.
     cache_capacity: u64,
-    policy: EvictionPolicy,
     /// Cached keys in eviction order (front = next victim).
     resident: Mutex<VecDeque<String>>,
     hits: AtomicU64,
@@ -80,22 +64,11 @@ impl<C: ObjectStore, R: ObjectStore> TieredStore<C, R> {
     /// Composes `cache` (fast, bounded to `cache_capacity` logical bytes)
     /// in front of `remote` (durable, source of truth) with FIFO eviction.
     pub fn new(cache: C, remote: R, cache_capacity: u64) -> Self {
-        Self::with_policy(cache, remote, cache_capacity, EvictionPolicy::Fifo)
-    }
-
-    /// [`TieredStore::new`] with an explicit eviction policy.
-    pub fn with_policy(
-        cache: C,
-        remote: R,
-        cache_capacity: u64,
-        policy: EvictionPolicy,
-    ) -> Self {
         assert!(cache_capacity > 0, "cache capacity must be positive");
         Self {
             cache,
             remote,
             cache_capacity,
-            policy,
             resident: Mutex::new(VecDeque::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -134,11 +107,6 @@ impl<C: ObjectStore, R: ObjectStore> TieredStore<C, R> {
     /// Fraction of reads served by the cache so far.
     pub fn cache_hit_rate(&self) -> f64 {
         self.stats().hit_rate()
-    }
-
-    /// The eviction policy in use.
-    pub fn eviction_policy(&self) -> EvictionPolicy {
-        self.policy
     }
 
     /// Cache entries evicted because their envelope failed verification
@@ -181,19 +149,11 @@ impl<C: ObjectStore, R: ObjectStore> TieredStore<C, R> {
         }
     }
 
-    /// Records a cache hit, refreshing the key's eviction position under
-    /// LRU.
-    fn on_hit(&self, key: &str) {
+    /// Records a cache hit.
+    fn on_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
         if let Some(obs) = &self.obs {
             obs.registry().counter_add(cnr_obs::names::CACHE_HITS, 1);
-        }
-        if self.policy == EvictionPolicy::Lru {
-            let mut resident = self.resident.lock();
-            if let Some(pos) = resident.iter().position(|k| k == key) {
-                let k = resident.remove(pos).expect("position is valid");
-                resident.push_back(k);
-            }
         }
     }
 
@@ -255,7 +215,7 @@ impl<C: ObjectStore, R: ObjectStore> ObjectStore for TieredStore<C, R> {
 
     fn get(&self, key: &str) -> Result<Bytes> {
         if let Some(data) = self.cache_lookup(key)? {
-            self.on_hit(key);
+            self.on_hit();
             return Ok(data);
         }
         // The miss is counted before the remote read: a lookup that fell
@@ -274,7 +234,7 @@ impl<C: ObjectStore, R: ObjectStore> ObjectStore for TieredStore<C, R> {
 
     fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Bytes> {
         if let Some(data) = self.cache_lookup(key)? {
-            self.on_hit(key);
+            self.on_hit();
             return crate::checked_range(&data, key, offset, len);
         }
         self.on_miss();
@@ -292,7 +252,7 @@ impl<C: ObjectStore, R: ObjectStore> ObjectStore for TieredStore<C, R> {
         not_before: Duration,
     ) -> Result<(Bytes, GetReceipt)> {
         if let Some(data) = self.cache_lookup(key)? {
-            self.on_hit(key);
+            self.on_hit();
             let data = crate::checked_range(&data, key, offset, len)?;
             let bytes = data.len() as u64;
             // A local NVMe read: instantaneous in simulated time, no
@@ -490,37 +450,20 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_keeps_recently_read_objects() {
-        // The budget holds three 20-byte objects.
-        let budget = 3 * (H + 4);
-        let store = TieredStore::with_policy(
-            InMemoryStore::new(),
-            InMemoryStore::new(),
-            budget,
-            EvictionPolicy::Lru,
-        );
+    fn fifo_eviction_ignores_recency() {
+        // The budget holds three 20-byte objects. Reading "a" does not
+        // save it: inserting "d" evicts the oldest insertion.
+        let store = tiered(3 * (H + 4));
         for k in ["a", "b", "c"] {
             store.put(k, obj(&[0u8; 4])).unwrap();
         }
-        // Touch "a": it becomes most-recently-read, so inserting "d" must
-        // evict "b" (the LRU victim), not "a".
         store.get("a").unwrap();
         assert_eq!(store.cache_hits(), 1);
         store.put("d", obj(&[0u8; 4])).unwrap();
-        assert!(store.cache().get("a").is_ok(), "recently read survives");
-        assert!(store.cache().get("b").is_err(), "LRU victim evicted");
-        assert!(store.cache().get("c").is_ok());
-        assert!(store.cache().get("d").is_ok());
-
-        // Under FIFO the same sequence evicts "a" (oldest inserted).
-        let fifo = tiered(budget);
-        for k in ["a", "b", "c"] {
-            fifo.put(k, obj(&[0u8; 4])).unwrap();
+        assert!(store.cache().get("a").is_err(), "FIFO ignores recency");
+        for k in ["b", "c", "d"] {
+            assert!(store.cache().get(k).is_ok());
         }
-        fifo.get("a").unwrap();
-        fifo.put("d", obj(&[0u8; 4])).unwrap();
-        assert!(fifo.cache().get("a").is_err(), "FIFO ignores recency");
-        assert_eq!(fifo.eviction_policy(), EvictionPolicy::Fifo);
     }
 
     #[test]
