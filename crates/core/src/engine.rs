@@ -1430,6 +1430,27 @@ mod tests {
             })
             .unwrap();
         assert_eq!(rec.killed_hosts, vec![1]);
+        // Golden simulated values of this kill path (no bench record covers
+        // it): host 1 dies before its first chunk, and its chunks re-shard
+        // onto hosts 0, 2 and 3.
+        assert_eq!(rec.completed_at, Duration::from_nanos(80_898_363));
+        assert_eq!(rec.write_latency, Duration::from_nanos(80_252_363));
+        assert_eq!(rec.parts, 8);
+        let shard = |host, rows, chunks, bytes, parts| crate::manifest::ShardMeta {
+            host,
+            rows,
+            chunks,
+            bytes,
+            parts,
+        };
+        assert_eq!(
+            rec.manifest.shards,
+            vec![
+                shard(0, 625, 3, 22_581, 3),
+                shard(2, 500, 3, 18_081, 3),
+                shard(3, 375, 2, 13_554, 2),
+            ]
+        );
         // The checkpoint completed despite the death and restores exactly.
         let report = e.simulate_failure_and_restore().unwrap();
         assert_eq!(report.state.iteration, 4);
@@ -1499,12 +1520,21 @@ mod tests {
         let report = e
             .simulate_failure_and_restore_killing_reader(HostKill {
                 host: 2,
-                after_chunks: 1,
+                after_chunks: 0,
             })
             .unwrap();
         assert_eq!(report.state.iteration, 10);
         assert_eq!(e.trainer().model().state_hash(), hash);
         assert_eq!(e.stats().resumes.len(), 1);
+        // Golden simulated values of this kill path: host 2 dies before its
+        // only chunk, which a survivor fetches instead.
+        let resume = &e.stats().resumes[0];
+        assert_eq!(resume.fetch, Duration::from_nanos(80_165_083));
+        assert_eq!(resume.bytes_fetched, 63_412);
+        let event = &e.recovery().events()[0].breakdown;
+        assert_eq!(event.chunks_fetched, 4);
+        assert_eq!(event.rescheduled_chunks, 1);
+        assert_eq!(e.clock().now(), Duration::from_nanos(201_605_000));
     }
 
     #[test]
