@@ -223,8 +223,7 @@ fn simulated_first_batch(
         model_cfg,
         &RestoreOptions {
             reader_hosts: hosts,
-            lazy: true,
-            hot_fraction,
+            lazy_hot_fraction: Some(hot_fraction),
             ..RestoreOptions::default()
         },
         failed_at,

@@ -244,14 +244,12 @@ impl CheckpointConfig {
     /// quantize-worker budget doubles as the decode budget (the recovery
     /// path runs on the same background CPU processes the writer used).
     pub fn restore_options(&self) -> crate::read::RestoreOptions {
-        let defaults = crate::read::RestoreOptions::default();
         crate::read::RestoreOptions {
             reader_hosts: self.reader_hosts.max(1),
             fetch_window: self.fetch_window,
             decode_workers: self.quantize_workers,
             fetch_retries: self.fetch_retries,
-            lazy: self.lazy_hot_fraction.is_some(),
-            hot_fraction: self.lazy_hot_fraction.unwrap_or(defaults.hot_fraction),
+            lazy_hot_fraction: self.lazy_hot_fraction,
         }
     }
 

@@ -810,11 +810,10 @@ impl Engine {
         // Priority heat for the lazy planner, built *before* the tracker
         // reset below: the Zipf prior plus the rows training touched since
         // the last baseline.
-        let heat = if options.lazy {
-            Some(self.build_heat())
-        } else {
-            None
-        };
+        let heat = options
+            .lazy_hot_fraction
+            .is_some()
+            .then(|| self.build_heat());
         // A failure mid-lazy-drain discards the previous restore's cold
         // tail along with the rest of the live training state; the spare
         // snapshot goes too, so it never adds to the restore's memory peak.

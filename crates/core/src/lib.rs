@@ -11,17 +11,21 @@
 //! * [`bitwidth`] — dynamic quantization bit-width selection from the
 //!   expected number of restores, with automatic 8-bit fallback (§6.2.1).
 //! * [`write`] — the sharded, pipelined quantize-and-store write path
-//!   running on background threads (§4.4 step 2–3): per-host chunkers and
-//!   shard writers feeding a windowed multipart upload scheduler.
+//!   running on background threads (§4.4 step 2–3): a per-host chunker
+//!   feeding quantize-and-upload steps through a windowed multipart upload
+//!   scheduler.
 //! * [`manifest`] + [`wire`] — the self-describing checkpoint format with
 //!   checksummed chunks.
 //! * [`restore`] — chain reconstruction: follow base pointers from any
 //!   checkpoint back to its full baseline, apply deltas forward, de-quantize
 //!   (§5.1 recovery).
 //! * [`read`] — the sharded recovery pipeline mirroring [`write`]: a fetch
-//!   planner, per-host shard readers overlapping ranged downloads with
-//!   decode, and a merge stage bit-identical to the serial restore, with
-//!   fetch/decode/merge time-to-resume accounting (§2/§5 downtime model).
+//!   planner, per-host ranged downloads overlapping decode, and a merge
+//!   stage bit-identical to the serial restore, with fetch/decode/merge
+//!   time-to-resume accounting (§2/§5 downtime model). Both directions run
+//!   on one host pipeline (`hosts`): fan-out over worker threads, each
+//!   host's simulated I/O in assignment order, dead-host re-sharding, and
+//!   the per-host in-flight window.
 //! * [`controller`] — checkpoint registry, validity, retention, deletion
 //!   (§4.4).
 //! * [`engine`] — the end-to-end training loop: reader budgets, interval
@@ -38,6 +42,7 @@ pub mod delta_log;
 pub mod engine;
 pub mod error;
 pub mod frequency;
+mod hosts;
 pub mod manifest;
 pub mod observe;
 pub mod policy;

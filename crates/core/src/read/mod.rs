@@ -8,12 +8,12 @@
 //! with the write path's structure inverted:
 //!
 //! ```text
-//! planner ──▶ shard readers (one per reader host) ──▶ merge
-//!   assign        ranged fetches over the host's        apply decoded
-//!   the chain's   own downlink (fetch scheduler:        rows oldest
-//!   chunks to     bounded in-flight window), decode     manifest first —
-//!   reader        + de-quantize overlapping the         bit-identical to
-//!   hosts by      next chunk's transfer                 the serial path
+//! planner ──▶ host pipeline (one share per host) ──▶ merge
+//!   assign        ranged fetches over the host's       apply decoded
+//!   the chain's   own downlink in assignment order,    rows oldest
+//!   chunks to     decode + de-quantize overlapping     manifest first —
+//!   reader        the next chunk's transfer            bit-identical to
+//!   hosts by                                           the serial path
 //!   bytes
 //! ```
 //!
@@ -21,11 +21,14 @@
 //!   host, balancing bytes, using the manifest's `ChunkMeta.parts` as the
 //!   ranged-fetch plan. A lazy restore plans in priority order and marks
 //!   the chunks needed before first batch *hot*.
-//! * [`shard_reader`] runs one host's share through the
-//!   [`scheduler::FetchScheduler`], which issues ranged reads
-//!   ([`cnr_storage::ObjectStore::get_part`]) with a bounded in-flight
-//!   window and bounded transient-failure retries. A host killed
-//!   mid-restore hands its unread chunks back.
+//! * The host pipeline (`crate::hosts`, shared with the write path) fans
+//!   the assignments out over `decode_workers` threads and runs
+//!   [`shard_reader`]'s per-chunk step on each: fetch in assignment order
+//!   through the [`scheduler::FetchScheduler`] — ranged reads
+//!   ([`cnr_storage::ObjectStore::get_part`]) under a bounded in-flight
+//!   window with bounded transient-failure retries — and decode in
+//!   parallel. A host killed mid-restore hands its unread chunks back,
+//!   and the pipeline re-shards them onto the survivors.
 //! * [`merge`] reassembles the model bit-identically to the serial path
 //!   and re-seeds the modification tracker. It is the only stage that
 //!   orders chunks for application. In lazy mode the same pass leaves the
@@ -33,10 +36,9 @@
 //!   over the eager result that [`lazy`] materializes row by row (fault-in)
 //!   or all at once (drain).
 //!
-//! The coordinator here ([`restore_sharded`]) re-shards a dead reader
-//! host's remaining chunks onto the survivors (mirroring the write side's
-//! [`cnr_cluster::HostKill`] handling) and reports a
-//! [`ResumeBreakdown`] — fetch/decode/merge — for the cluster layer's
+//! The coordinator here ([`restore_sharded`]) walks the chain through the
+//! timed fetch path, plans, runs the host pipeline and merges, and reports
+//! a [`ResumeBreakdown`] — fetch/decode/merge — for the cluster layer's
 //! time-to-resume accounting.
 
 pub mod lazy;
@@ -48,15 +50,16 @@ pub mod shard_reader;
 pub use lazy::LazyRestore;
 pub use planner::{FetchItem, RowHeat};
 pub use scheduler::{FetchScheduler, FetchStatus};
-pub use shard_reader::{DecodedChunk, ReadOutcome, ShardReader};
+pub use shard_reader::DecodedChunk;
 
 use crate::error::{CnrError, Result};
-use crate::manifest::{CheckpointId, CheckpointKind, Manifest};
-use crate::restore::{validate_geometry, validate_shard_summaries, RestoreReport};
+use crate::manifest::{CheckpointId, Manifest};
+use crate::restore::{load_chain, validate_geometry, validate_shard_summaries, RestoreReport};
 use cnr_cluster::{HostKill, ResumeBreakdown};
 use cnr_model::config::ModelConfig;
 use cnr_model::state::ModelState;
 use cnr_storage::ObjectStore;
+use shard_reader::ShardReader;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -76,14 +79,13 @@ pub struct RestoreOptions {
     /// Transient read-failure retries per ranged fetch before the restore
     /// fails.
     pub fetch_retries: u32,
-    /// Lazy (CPR-style) restore: fetch in priority order, apply only hot
-    /// chunks to the model view before declaring first batch, and hand the
-    /// rows still pending back as a [`LazyRestore`] for fault-in or
-    /// background drain.
-    pub lazy: bool,
-    /// Fraction of rows (by heat rank) that must be applied before first
-    /// batch in lazy mode; `1.0` makes lazy equivalent to eager.
-    pub hot_fraction: f64,
+    /// Lazy (CPR-style) restore at this hot fraction: fetch in priority
+    /// order, apply only the chunks covering this fraction of rows (by
+    /// heat rank) to the model view before declaring first batch, and hand
+    /// the rows still pending back as a [`LazyRestore`] for fault-in or
+    /// background drain; `Some(1.0)` has eager timing. `None` restores
+    /// eagerly.
+    pub lazy_hot_fraction: Option<f64>,
 }
 
 impl Default for RestoreOptions {
@@ -93,8 +95,7 @@ impl Default for RestoreOptions {
             fetch_window: 8,
             decode_workers: 2,
             fetch_retries: 2,
-            lazy: false,
-            hot_fraction: 0.1,
+            lazy_hot_fraction: None,
         }
     }
 }
@@ -114,8 +115,10 @@ impl RestoreOptions {
         if self.decode_workers == 0 {
             return Err("need at least one decode worker".into());
         }
-        if !self.hot_fraction.is_finite() || !(0.0..=1.0).contains(&self.hot_fraction) {
-            return Err("hot_fraction must lie in [0, 1]".into());
+        if let Some(f) = self.lazy_hot_fraction {
+            if !f.is_finite() || !(0.0..=1.0).contains(&f) {
+                return Err("lazy_hot_fraction must lie in [0, 1]".into());
+            }
         }
         Ok(())
     }
@@ -180,31 +183,19 @@ pub fn restore_sharded(
     options: &RestoreOptions,
     started_at: Duration,
 ) -> Result<ShardedRestore> {
-    restore_sharded_with_failures(store, job, target, config, options, started_at, None)
+    restore_sharded_with_heat(store, job, target, config, options, started_at, None, None)
 }
 
-/// [`restore_sharded`] with reader-host failure injection: the host named
-/// by `kill` dies after fetching `kill.after_chunks` chunks; its remaining
-/// chunks are re-sharded onto the surviving hosts and the restore still
-/// completes bit-identically.
-#[allow(clippy::too_many_arguments)]
-pub fn restore_sharded_with_failures(
-    store: &dyn ObjectStore,
-    job: &str,
-    target: CheckpointId,
-    config: &ModelConfig,
-    options: &RestoreOptions,
-    started_at: Duration,
-    kill: Option<HostKill>,
-) -> Result<ShardedRestore> {
-    restore_sharded_with_heat(store, job, target, config, options, started_at, kill, None)
-}
-
-/// [`restore_sharded_with_failures`] with an explicit access-heat model for
-/// priority planning. `heat` matters only when `options.lazy` is set; a
-/// lazy restore without one falls back to uniform heat (priority order
-/// degenerates to key order, but the hot cutoff still bounds the first
-/// batch's working set).
+/// [`restore_sharded`] with reader-host failure injection and an explicit
+/// access-heat model for priority planning.
+///
+/// The host named by `kill` dies after fetching `kill.after_chunks`
+/// chunks; its remaining chunks are re-sharded onto the surviving hosts
+/// and the restore still completes bit-identically.
+///
+/// `heat` matters only for a lazy restore; a lazy restore without one
+/// falls back to uniform heat (priority order degenerates to key order,
+/// but the hot cutoff still bounds the first batch's working set).
 #[allow(clippy::too_many_arguments)]
 pub fn restore_sharded_with_heat(
     store: &dyn ObjectStore,
@@ -231,7 +222,12 @@ pub fn restore_sharded_with_heat(
     // Manifests download through the timed path too (serialized on host
     // 0's downlink — each base pointer is only known once its successor
     // decodes), so chain-walk latency lands in the fetch accounting.
-    let chain = load_chain_over(&fetch_sched, store, job, target)?;
+    let chain = load_chain(target, |id| {
+        let key = Manifest::key(job, id);
+        let size = store.head(&key).map_err(CnrError::from)?.size;
+        let (bytes, _arrived) = fetch_sched.fetch_chunk(0, &key, size, 1)?;
+        Manifest::decode_payload(scheduler::verified_payload(&bytes))
+    })?;
     let newest = chain.last().unwrap().clone();
     validate_geometry(&newest, config)?;
     for manifest in &chain {
@@ -241,7 +237,7 @@ pub fn restore_sharded_with_heat(
     fetch_sched.set_floor(fetch_sched.ready_at());
     let plan_floor = fetch_sched.ready_at();
     let uniform_heat;
-    let assignments = if options.lazy {
+    let assignments = if let Some(hot_fraction) = options.lazy_hot_fraction {
         let heat = match heat {
             Some(h) => h,
             None => {
@@ -251,66 +247,23 @@ pub fn restore_sharded_with_heat(
                 &uniform_heat
             }
         };
-        planner::plan_priority(&chain, hosts, heat, options.hot_fraction)
+        planner::plan_priority(&chain, hosts, heat, hot_fraction)
     } else {
         planner::plan(&chain, hosts)
     };
-    let jobs: Vec<(u16, Vec<FetchItem>)> = assignments
-        .into_iter()
-        .enumerate()
-        .map(|(h, items)| (h as u16, items))
-        .collect();
 
-    // --- Pass 1: every host fetches + decodes its own share. ------------
+    // --- Fetch + decode on the host pipeline. ----------------------------
     let decode_nanos = AtomicU64::new(0);
-    let outcomes = run_pass(
-        &fetch_sched,
-        &decode_nanos,
-        options.decode_workers,
-        jobs,
-        kill,
-    )?;
-
+    let reader = ShardReader {
+        scheduler: &fetch_sched,
+        decode_nanos: &decode_nanos,
+    };
+    let run = crate::hosts::run(&reader, options.decode_workers, assignments, kill, |_, _| {})?;
     let mut decoded: Vec<DecodedChunk> = Vec::new();
-    let mut killed_hosts: Vec<u16> = Vec::new();
-    let mut unread: Vec<FetchItem> = Vec::new();
     let mut host_activity: Vec<HostActivity> = Vec::new();
-    for outcome in outcomes {
-        note_activity(&mut host_activity, outcome.host, &outcome.decoded);
-        decoded.extend(outcome.decoded);
-        if outcome.killed {
-            killed_hosts.push(outcome.host);
-            unread.extend(outcome.unread);
-        }
-    }
-
-    // --- Pass 2: re-shard a dead host's leftovers onto survivors. -------
-    let rescheduled_chunks = unread.len() as u64;
-    if !unread.is_empty() {
-        let survivors: Vec<u16> = (0..hosts as u16)
-            .filter(|h| !killed_hosts.contains(h))
-            .collect();
-        if survivors.is_empty() {
-            return Err(CnrError::Pipeline(
-                "every reader host died mid-restore".into(),
-            ));
-        }
-        let mut reassigned: Vec<(u16, Vec<FetchItem>)> =
-            survivors.iter().map(|&h| (h, Vec::new())).collect();
-        for (i, item) in unread.into_iter().enumerate() {
-            reassigned[i % survivors.len()].1.push(item);
-        }
-        let rescue = run_pass(
-            &fetch_sched,
-            &decode_nanos,
-            options.decode_workers,
-            reassigned,
-            None,
-        )?;
-        for outcome in rescue {
-            note_activity(&mut host_activity, outcome.host, &outcome.decoded);
-            decoded.extend(outcome.decoded);
-        }
+    for (host, chunks) in run.outputs {
+        note_activity(&mut host_activity, host, &chunks);
+        decoded.extend(chunks);
     }
 
     // --- Merge: assemble the model bit-identically to the serial path. --
@@ -326,14 +279,15 @@ pub fn restore_sharded_with_heat(
         .unwrap_or(plan_floor);
     host_activity.sort_by_key(|a| a.host);
     let merge_t0 = Instant::now();
-    let merged = merge::merge(&chain, decoded, options.lazy)?;
+    let lazy = options.lazy_hot_fraction.is_some();
+    let merged = merge::merge(&chain, decoded, lazy)?;
     let merge_time = merge_t0.elapsed();
 
     let manifest_bytes: u64 = chain.iter().map(Manifest::stored_len).sum();
     let bytes_read = chunk_bytes + manifest_bytes;
     let shards_merged = chain.iter().map(|m| m.shards.len()).sum();
     let ready_at = fetch_sched.ready_at();
-    let first_batch_at = if options.lazy {
+    let first_batch_at = if lazy {
         hot_ready.max(plan_floor)
     } else {
         ready_at
@@ -355,7 +309,7 @@ pub fn restore_sharded_with_heat(
         reader_hosts: hosts,
         bytes_fetched: bytes_read,
         chunks_fetched,
-        rescheduled_chunks,
+        rescheduled_chunks: run.rescheduled as u64,
         corruption_detected: fetch_status.corruption_detected,
         corruption_repaired: fetch_status.corruption_repaired,
         corruption_refetches: fetch_status.corruption_refetches,
@@ -371,7 +325,7 @@ pub fn restore_sharded_with_heat(
         time_to_first_batch: first_batch_at.saturating_sub(started_at)
             + Duration::from_nanos(decode_nanos.load(Ordering::Relaxed))
             + merge_time,
-        mode: if options.lazy {
+        mode: if lazy {
             cnr_cluster::RestoreMode::Lazy
         } else {
             cnr_cluster::RestoreMode::Eager
@@ -398,7 +352,7 @@ pub fn restore_sharded_with_heat(
         ready_at,
         first_batch_at,
         lazy: merged.lazy,
-        killed_hosts,
+        killed_hosts: run.killed,
         fetch_status,
         host_activity,
         plan_ready_at: plan_floor,
@@ -428,93 +382,6 @@ fn note_activity(activity: &mut Vec<HostActivity>, host: u16, decoded: &[Decoded
             last_arrival: last,
         }),
     }
-}
-
-/// Walks the chain of base pointers from `target` back to its full
-/// baseline through the timed fetch path (mirroring
-/// [`crate::restore::load_chain`], which reads untimed): each manifest
-/// downloads over reader host 0's downlink with the scheduler's bounded
-/// retries, so manifest latency and transfer time show up in the
-/// time-to-resume fetch accounting exactly as chunk reads do.
-fn load_chain_over(
-    scheduler: &FetchScheduler<'_>,
-    store: &dyn ObjectStore,
-    job: &str,
-    target: CheckpointId,
-) -> Result<Vec<Manifest>> {
-    let fetch_manifest = |id: CheckpointId| -> Result<Manifest> {
-        let key = Manifest::key(job, id);
-        let size = store.head(&key).map_err(CnrError::from)?.size;
-        let (bytes, _arrived) = scheduler.fetch_chunk(0, &key, size, 1)?;
-        Manifest::decode_payload(scheduler::verified_payload(&bytes))
-    };
-    let mut chain = vec![fetch_manifest(target)?];
-    while chain.last().unwrap().kind != CheckpointKind::Full {
-        let m = chain.last().unwrap();
-        let base = m.base.ok_or_else(|| {
-            CnrError::Corrupt(format!("incremental {} has no base pointer", m.id))
-        })?;
-        if chain.iter().any(|c| c.id == base) {
-            return Err(CnrError::Corrupt(format!(
-                "checkpoint chain cycle at {base}"
-            )));
-        }
-        chain.push(fetch_manifest(base)?);
-    }
-    chain.reverse(); // oldest (full) first
-    Ok(chain)
-}
-
-/// Runs a set of per-host read jobs on at most `workers` threads; the
-/// worker budget spreads over hosts exactly like the write path's
-/// `run_pass` — a single-host restore still decodes on all workers.
-fn run_pass(
-    scheduler: &FetchScheduler<'_>,
-    decode_nanos: &AtomicU64,
-    workers: usize,
-    jobs: Vec<(u16, Vec<FetchItem>)>,
-    kill: Option<HostKill>,
-) -> Result<Vec<ReadOutcome>> {
-    use crossbeam::channel;
-    let n_jobs = jobs.len();
-    let threads_per_shard = (workers / n_jobs.max(1)).max(1);
-    let (job_tx, job_rx) = channel::unbounded::<(u16, Vec<FetchItem>, Option<u32>)>();
-    for (host, items) in jobs {
-        let kill_after = kill.filter(|k| k.host == host).map(|k| k.after_chunks);
-        job_tx
-            .send((host, items, kill_after))
-            .expect("receiver alive");
-    }
-    drop(job_tx);
-
-    // Unbounded: outcomes are collected only after the scope joins.
-    let (out_tx, out_rx) = channel::unbounded::<Result<ReadOutcome>>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(n_jobs).max(1) {
-            let job_rx = job_rx.clone();
-            let out_tx = out_tx.clone();
-            let reader = ShardReader {
-                scheduler,
-                decode_nanos,
-            };
-            scope.spawn(move || {
-                while let Ok((host, items, kill_after)) = job_rx.recv() {
-                    let outcome = reader.run(host, items, kill_after, threads_per_shard);
-                    if out_tx.send(outcome).is_err() {
-                        return; // collector gone; abort quietly
-                    }
-                }
-            });
-        }
-    });
-    drop(out_tx);
-
-    let mut outcomes = Vec::with_capacity(n_jobs);
-    for result in out_rx.iter() {
-        outcomes.push(result?);
-    }
-    outcomes.sort_by_key(|o| o.host);
-    Ok(outcomes)
 }
 
 #[cfg(test)]
@@ -672,7 +539,7 @@ mod tests {
             host: 1,
             after_chunks: 1,
         };
-        let sharded = restore_sharded_with_failures(
+        let sharded = restore_sharded_with_heat(
             &store,
             "job",
             CheckpointId(0),
@@ -680,6 +547,7 @@ mod tests {
             &opts(4),
             Duration::ZERO,
             Some(kill),
+            None,
         )
         .unwrap();
         assert_eq!(sharded.killed_hosts, vec![1]);
@@ -695,7 +563,7 @@ mod tests {
         let (model_cfg, snap) = snapshot_after(2, 8);
         let store = InMemoryStore::new();
         write_to(&store, &snap, 1);
-        let result = restore_sharded_with_failures(
+        let result = restore_sharded_with_heat(
             &store,
             "job",
             CheckpointId(0),
@@ -706,6 +574,7 @@ mod tests {
                 host: 0,
                 after_chunks: 0,
             }),
+            None,
         );
         assert!(matches!(result, Err(CnrError::Pipeline(_))));
     }
@@ -808,15 +677,15 @@ mod tests {
                 ..RestoreOptions::default()
             },
             RestoreOptions {
-                hot_fraction: -0.1,
+                lazy_hot_fraction: Some(-0.1),
                 ..RestoreOptions::default()
             },
             RestoreOptions {
-                hot_fraction: 1.5,
+                lazy_hot_fraction: Some(1.5),
                 ..RestoreOptions::default()
             },
             RestoreOptions {
-                hot_fraction: f64::NAN,
+                lazy_hot_fraction: Some(f64::NAN),
                 ..RestoreOptions::default()
             },
         ] {
@@ -857,6 +726,56 @@ mod tests {
             .state
         };
         assert_eq!(run(1), run(6), "worker count must not change output");
+
+        // Nor the simulated schedule: a host issues its fetches in
+        // assignment order however many threads decode for it, so a lazy
+        // single-host restore lands its hot set at the same instant on 8
+        // workers as on 1, every time.
+        let row_counts: Vec<usize> = model_cfg.tables.iter().map(|t| t.rows as usize).collect();
+        let heat = RowHeat::zipf(&row_counts, 1.05);
+        let lazy = |workers: usize| {
+            let store = SimulatedRemoteStore::new(
+                RemoteConfig {
+                    bandwidth_bytes_per_sec: 1024.0 * 1024.0,
+                    base_latency: Duration::from_micros(50),
+                    replication: 1,
+                    channels: 1,
+                },
+                SimClock::new(),
+            );
+            let cfg = CheckpointConfig {
+                chunk_rows: 10,
+                quantize_workers: 1,
+                ..CheckpointConfig::default()
+            };
+            crate::write::CheckpointWriter::new(&store, "job")
+                .write(&snap, CheckpointId(0), None, QuantScheme::Fp32, &cfg)
+                .unwrap();
+            let failed_at = store.wait_for_drain();
+            let sharded = restore_sharded_with_heat(
+                &store,
+                "job",
+                CheckpointId(0),
+                &model_cfg,
+                &RestoreOptions {
+                    reader_hosts: 1,
+                    decode_workers: workers,
+                    lazy_hot_fraction: Some(0.05),
+                    ..RestoreOptions::default()
+                },
+                failed_at,
+                None,
+                Some(&heat),
+            )
+            .unwrap();
+            (sharded.first_batch_at, sharded.ready_at, sharded.host_activity)
+        };
+        let serial = lazy(1);
+        // Threads reordering a host's fetches showed in a few percent of
+        // runs; 200 repeats caught it in 20 of 20 test runs.
+        for run in 0..200 {
+            assert_eq!(lazy(8), serial, "run {run}: 8 decode workers moved the schedule");
+        }
     }
 
     #[test]
@@ -879,8 +798,7 @@ mod tests {
         for hot_fraction in [0.0, 0.05, 0.5, 1.0] {
             let options = RestoreOptions {
                 reader_hosts: 2,
-                lazy: true,
-                hot_fraction,
+                lazy_hot_fraction: Some(hot_fraction),
                 ..RestoreOptions::default()
             };
             let sharded = restore_sharded_with_heat(
@@ -941,8 +859,7 @@ mod tests {
         let heat = RowHeat::zipf(&row_counts, 1.05);
         let options = RestoreOptions {
             reader_hosts: 2,
-            lazy: true,
-            hot_fraction: 0.1,
+            lazy_hot_fraction: Some(0.1),
             ..RestoreOptions::default()
         };
         let sharded = restore_sharded_with_heat(

@@ -5,19 +5,19 @@
 //! Every chunk downloads as a sequence of ranged reads
 //! ([`ObjectStore::get_part`]) over its reader host's downlink (channel).
 //! The scheduler bounds how many ranges a host may have in flight in
-//! *simulated* time: range `n` may not start before range `n − window` has
-//! finished transferring — decoded rows buffer in bounded host memory until
-//! the merge stage consumes them, just as quantized chunks buffer on the
-//! write side until the network accepts them. Transient read failures are
-//! retried in place (a bounded number of times) rather than failing the
-//! whole restore: remote reads time out in practice and the paper's
-//! time-to-resume model only cares that the bytes eventually arrive.
+//! *simulated* time ([`crate::hosts::Window`]): range `n` may not start
+//! before range `n − window` has finished transferring — decoded rows
+//! buffer in bounded host memory until the merge stage consumes them, just
+//! as quantized chunks buffer on the write side until the network accepts
+//! them. Transient read failures are retried in place (a bounded number of
+//! times) rather than failing the whole restore: remote reads time out in
+//! practice and the paper's time-to-resume model only cares that the bytes
+//! eventually arrive.
 
 use crate::error::{CnrError, Result};
+use crate::hosts::Window;
 use bytes::Bytes;
 use cnr_storage::{envelope, ObjectStore, StorageError};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -54,14 +54,10 @@ pub struct FetchStatus {
 }
 
 struct FetchState {
-    /// Completion times of in-flight ranges, one min-heap per host.
-    windows: Vec<BinaryHeap<Reverse<Duration>>>,
-    /// No range may start before this simulated time (the failure instant,
-    /// raised to the chain-load completion once the manifests are in).
-    floor: Duration,
-    ready_at: Duration,
-    parts_fetched: u64,
-    backpressure_stalls: u64,
+    /// In-flight ranges per host. No range may start before its floor (the
+    /// failure instant, raised to the chain-load completion once the
+    /// manifests are in); its latest completion is the ready point.
+    window: Window,
     retries_performed: u64,
     corruption_refetches: u64,
     corruption_detected: u64,
@@ -71,7 +67,6 @@ struct FetchState {
 /// Schedules chunk downloads for one restore across all reader hosts.
 pub struct FetchScheduler<'a> {
     store: &'a dyn ObjectStore,
-    window: usize,
     retries: u32,
     state: Mutex<FetchState>,
     /// One issuance lock per host: admit → read → record must be atomic
@@ -92,17 +87,11 @@ impl<'a> FetchScheduler<'a> {
         retries: u32,
         start_floor: Duration,
     ) -> Self {
-        assert!(hosts >= 1 && window >= 1);
         Self {
             store,
-            window,
             retries,
             state: Mutex::new(FetchState {
-                windows: (0..hosts).map(|_| BinaryHeap::new()).collect(),
-                floor: start_floor,
-                ready_at: start_floor,
-                parts_fetched: 0,
-                backpressure_stalls: 0,
+                window: Window::new(hosts, window, start_floor),
                 retries_performed: 0,
                 corruption_refetches: 0,
                 corruption_detected: 0,
@@ -117,8 +106,9 @@ impl<'a> FetchScheduler<'a> {
     /// fetches cannot start before the plan that names them exists.
     pub fn set_floor(&self, t: Duration) {
         let mut s = self.state.lock().unwrap();
-        s.floor = s.floor.max(t);
-        s.ready_at = s.ready_at.max(s.floor);
+        let w = &mut s.window;
+        w.floor = w.floor.max(t);
+        w.done_at = w.done_at.max(w.floor);
     }
 
     /// Downloads the `bytes`-byte object at `key` over host `host`'s
@@ -221,7 +211,7 @@ impl<'a> FetchScheduler<'a> {
         // the in-flight window bound holds under concurrent decode threads
         // (reads are wall-instant; only simulated time is scheduled here).
         let guard = self.issue[host as usize].lock().unwrap();
-        let not_before = self.admit(host as usize);
+        let not_before = self.state.lock().unwrap().window.admit(host as usize);
         let mut attempt = 0u32;
         let (data, receipt) = loop {
             match self
@@ -244,7 +234,11 @@ impl<'a> FetchScheduler<'a> {
                 Err(e) => return Err(CnrError::from(e)),
             }
         };
-        self.record(host as usize, receipt.completed_at);
+        self.state
+            .lock()
+            .unwrap()
+            .window
+            .record(host as usize, receipt.completed_at);
         drop(guard);
         Ok((data, receipt.completed_at))
     }
@@ -259,29 +253,6 @@ impl<'a> FetchScheduler<'a> {
         })
     }
 
-    /// Admits the next range on `host`'s window: returns the earliest
-    /// simulated time its transfer may start. With a full window that is
-    /// the completion time of the oldest in-flight range — backpressure.
-    /// Callers hold the host's issuance lock.
-    fn admit(&self, host: usize) -> Duration {
-        let mut s = self.state.lock().unwrap();
-        let floor = s.floor;
-        if s.windows[host].len() >= self.window {
-            let Reverse(earliest) = s.windows[host].pop().expect("window is non-empty");
-            s.backpressure_stalls += 1;
-            earliest.max(floor)
-        } else {
-            floor
-        }
-    }
-
-    fn record(&self, host: usize, completed_at: Duration) {
-        let mut s = self.state.lock().unwrap();
-        s.windows[host].push(Reverse(completed_at));
-        s.ready_at = s.ready_at.max(completed_at);
-        s.parts_fetched += 1;
-    }
-
     /// The store downloads come from.
     pub fn store(&self) -> &'a dyn ObjectStore {
         self.store
@@ -289,23 +260,18 @@ impl<'a> FetchScheduler<'a> {
 
     /// Simulated time at which everything fetched so far has arrived.
     pub fn ready_at(&self) -> Duration {
-        self.state.lock().unwrap().ready_at
+        self.state.lock().unwrap().window.done_at
     }
 
     /// Polls the scheduler at simulated time `now`: retires finished ranges
     /// and reports what is still in flight.
     pub fn poll(&self, now: Duration) -> FetchStatus {
         let mut s = self.state.lock().unwrap();
-        for w in &mut s.windows {
-            while matches!(w.peek(), Some(&Reverse(t)) if t <= now) {
-                w.pop();
-            }
-        }
         FetchStatus {
-            in_flight_parts: s.windows.iter().map(|w| w.len()).sum(),
-            ready_at: s.ready_at,
-            parts_fetched: s.parts_fetched,
-            backpressure_stalls: s.backpressure_stalls,
+            in_flight_parts: s.window.retire(now),
+            ready_at: s.window.done_at,
+            parts_fetched: s.window.parts,
+            backpressure_stalls: s.window.stalls,
             retries_performed: s.retries_performed,
             corruption_refetches: s.corruption_refetches,
             corruption_detected: s.corruption_detected,

@@ -52,16 +52,16 @@ pub fn load_manifest(store: &dyn ObjectStore, job: &str, id: CheckpointId) -> Re
     Manifest::decode(&bytes)
 }
 
-/// Walks base pointers from `target` back to its full baseline and returns
-/// the manifest chain oldest (full) first. Detects missing base pointers
-/// and cycles. Shared by the serial restore below and the sharded
-/// [`crate::read`] pipeline.
+/// Walks base pointers from `target` back to its full baseline, loading
+/// each manifest with `fetch`, and returns the chain oldest (full) first.
+/// Detects missing base pointers and cycles. Shared by the serial restore
+/// below (untimed reads) and the sharded [`crate::read`] pipeline (timed
+/// reads over reader host 0's downlink).
 pub(crate) fn load_chain(
-    store: &dyn ObjectStore,
-    job: &str,
     target: CheckpointId,
+    mut fetch: impl FnMut(CheckpointId) -> Result<Manifest>,
 ) -> Result<Vec<Manifest>> {
-    let mut chain_manifests = vec![load_manifest(store, job, target)?];
+    let mut chain_manifests = vec![fetch(target)?];
     while chain_manifests.last().unwrap().kind != CheckpointKind::Full {
         let m = chain_manifests.last().unwrap();
         let base = m.base.ok_or_else(|| {
@@ -72,7 +72,7 @@ pub(crate) fn load_chain(
                 "checkpoint chain cycle at {base}"
             )));
         }
-        chain_manifests.push(load_manifest(store, job, base)?);
+        chain_manifests.push(fetch(base)?);
     }
     chain_manifests.reverse(); // oldest (full) first
     Ok(chain_manifests)
@@ -129,7 +129,7 @@ pub fn restore(
     target: CheckpointId,
     config: &ModelConfig,
 ) -> Result<RestoreReport> {
-    let chain_manifests = load_chain(store, job, target)?;
+    let chain_manifests = load_chain(target, |id| load_manifest(store, job, id))?;
     let newest = chain_manifests.last().unwrap().clone();
     validate_geometry(&newest, config)?;
 
@@ -481,6 +481,63 @@ mod tests {
             restore(&f.store, "job", CheckpointId(0), &f.model_cfg),
             Err(CnrError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn broken_chains_are_corrupt_on_both_restore_paths() {
+        use crate::read::{restore_sharded, RestoreOptions};
+        use std::time::Duration;
+        let mut f = fixture();
+        f.trainer.train_one(&f.ds.batch(0));
+        let snap = f.taker.take(
+            &mut f.trainer,
+            cnr_reader::ReaderState::at(1),
+            full_decision(),
+            &f.cfg,
+        );
+        let full = CheckpointWriter::new(&f.store, "job")
+            .write(&snap, CheckpointId(0), None, QuantScheme::Fp32, &f.cfg)
+            .unwrap()
+            .manifest;
+        // Hand-built incrementals over the real baseline: 1 lost its base
+        // pointer; 2 and 3 point at each other.
+        for (id, base) in [(1, None), (2, Some(3)), (3, Some(2))] {
+            let manifest = Manifest {
+                id: CheckpointId(id),
+                kind: CheckpointKind::Incremental,
+                base: base.map(CheckpointId),
+                ..full.clone()
+            };
+            f.store
+                .put(
+                    &Manifest::key("job", manifest.id),
+                    bytes::Bytes::from(manifest.encode_enveloped()),
+                )
+                .unwrap();
+        }
+        for target in [CheckpointId(1), CheckpointId(2)] {
+            assert!(
+                matches!(
+                    restore(&f.store, "job", target, &f.model_cfg),
+                    Err(CnrError::Corrupt(_))
+                ),
+                "serial restore of {target}"
+            );
+            assert!(
+                matches!(
+                    restore_sharded(
+                        &f.store,
+                        "job",
+                        target,
+                        &f.model_cfg,
+                        &RestoreOptions::default(),
+                        Duration::ZERO
+                    ),
+                    Err(CnrError::Corrupt(_))
+                ),
+                "sharded restore of {target}"
+            );
+        }
     }
 
     #[test]

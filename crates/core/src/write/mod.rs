@@ -2,34 +2,37 @@
 //!
 //! The snapshot is immutable, so optimization and storage run entirely on
 //! background CPU workers while training continues. Work flows through
-//! three stages, one submodule each:
+//! three stages:
 //!
 //! ```text
-//! chunker ──▶ shard writers (one per simulated host) ──▶ upload scheduler
-//!   split         quantize + encode each chunk             multipart puts,
-//!   rows into     of the host's row-range                  bounded window,
-//!   per-host                                               per-host uplink
+//! chunker ──▶ host pipeline (one share per host) ──▶ upload scheduler
+//!   split         quantize + encode each chunk,         multipart puts,
+//!   rows into     then upload it in the host's          bounded window,
+//!   per-host      assignment order                      per-host uplink
 //!   chunks
 //! ```
 //!
 //! * [`chunker`] partitions every table's rows over `writer_hosts`
 //!   contiguous shards and batches modified rows into chunks.
-//! * [`shard_writer`] runs one host's share: quantize, encode, upload. A
-//!   host killed mid-upload aborts its in-flight multipart transfer and
-//!   hands its unfinished chunks back.
+//! * The host pipeline (`crate::hosts`, shared with the restore path)
+//!   fans the shards out over `quantize_workers` threads and runs
+//!   [`shard_writer`]'s per-chunk step on each: quantize and encode in
+//!   parallel, upload in assignment order. A host killed mid-upload aborts
+//!   its in-flight multipart transfer, and the pipeline re-shards its
+//!   unfinished chunks onto the survivors.
 //! * [`scheduler`] streams each chunk as a multipart object over the
-//!   owning host's uplink with a bounded in-flight window, and answers the
-//!   engine's durability polls (§4.3 non-overlap without blocking). Its
-//!   upload *floor* is how overlapped checkpoints stay legal: a write
-//!   issued while the previous drain is still in flight
+//!   owning host's uplink with a bounded in-flight window. Its upload
+//!   *floor* is how overlapped checkpoints stay legal: a write issued
+//!   while the previous drain is still in flight
 //!   ([`CheckpointWriter::write_overlapping`]) quantizes immediately but
 //!   queues every part behind the previous durability point.
 //!
-//! The coordinator here ([`CheckpointWriter`]) plans the shards, fans them
-//! out over `quantize_workers` threads, re-shards the work of any host
-//! that died onto the survivors, and writes the manifest once every chunk
-//! is accounted for — the §4.4 validity rule: a checkpoint exists only
-//! when all of it is durable.
+//! The coordinator here ([`CheckpointWriter`]) plans the shards, numbers
+//! re-sharded chunks after each adopter's own, and writes the manifest
+//! once every chunk is accounted for — the §4.4 validity rule: a
+//! checkpoint exists only when all of it is durable. Its
+//! [`CheckpointRecord::completed_at`] is the durability point the engine
+//! keeps and polls (§4.3 non-overlap without blocking).
 
 pub mod chunker;
 pub mod scheduler;
@@ -37,17 +40,16 @@ pub mod shard_writer;
 
 pub use chunker::{shard_range, WorkItem};
 pub use scheduler::{UploadScheduler, UploadStatus};
-pub use shard_writer::{ShardOutcome, ShardWriter};
 
 use crate::config::CheckpointConfig;
-use crate::error::{CnrError, Result};
+use crate::error::Result;
 use crate::manifest::{CheckpointId, ChunkMeta, Manifest, ShardMeta, TableMeta};
 use crate::snapshot::TrainingSnapshot;
 use bytes::Bytes;
 use cnr_cluster::HostKill;
 use cnr_quant::QuantScheme;
 use cnr_storage::ObjectStore;
-use crossbeam::channel;
+use shard_writer::ShardWriter;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -102,27 +104,17 @@ impl<'a> CheckpointWriter<'a> {
         scheme: QuantScheme,
         config: &CheckpointConfig,
     ) -> Result<CheckpointRecord> {
-        self.write_with_failures(snapshot, id, base, scheme, config, None)
+        self.write_overlapping(snapshot, id, base, scheme, config, None, Duration::ZERO)
     }
 
-    /// [`CheckpointWriter::write`] with writer-host failure injection: the
-    /// host named by `kill` dies mid-upload, its in-flight chunk is
-    /// aborted, and its unfinished rows are re-sharded onto the surviving
-    /// hosts. The resulting checkpoint is complete and restores exactly.
-    pub fn write_with_failures(
-        &self,
-        snapshot: &TrainingSnapshot,
-        id: CheckpointId,
-        base: Option<CheckpointId>,
-        scheme: QuantScheme,
-        config: &CheckpointConfig,
-        kill: Option<HostKill>,
-    ) -> Result<CheckpointRecord> {
-        self.write_overlapping(snapshot, id, base, scheme, config, kill, Duration::ZERO)
-    }
-
-    /// [`CheckpointWriter::write_with_failures`] under the §4.3 relaxation:
-    /// quantization and encoding proceed immediately (they overlap the
+    /// [`CheckpointWriter::write`] with writer-host failure injection and
+    /// under the §4.3 relaxation.
+    ///
+    /// The host named by `kill` dies mid-upload: its in-flight chunk is
+    /// aborted and its unfinished rows are re-sharded onto the surviving
+    /// hosts, so the checkpoint is still complete and restores exactly.
+    ///
+    /// Quantization and encoding proceed immediately (they overlap the
     /// previous checkpoint's upload drain on background CPU), but no part
     /// of this checkpoint may start transferring before `uploads_after` —
     /// the previous checkpoint's durability point — because uploads
@@ -146,75 +138,24 @@ impl<'a> CheckpointWriter<'a> {
             UploadScheduler::new(self.store, hosts, config.upload_window, config.part_bytes);
         scheduler.set_floor(uploads_after);
 
-        // --- Plan: shard and chunk the delta. ---------------------------
+        // --- Plan, then upload on the host pipeline. ---------------------
+        // A dead host's leftovers join each adopter's shard after the
+        // chunks it planned, so their (shard, seq) keys stay unique.
         let shards = chunker::plan(snapshot, config);
-        let planned: Vec<u32> = shards.iter().map(|s| s.len() as u32).collect();
-        let jobs: Vec<(u16, Vec<WorkItem>)> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(h, items)| (h as u16, items))
-            .collect();
-
-        // --- Pass 1: every host uploads its own shard. ------------------
-        let outcomes = run_pass(
-            &scheduler,
-            &quantize_nanos,
-            &self.job,
+        let mut next_seq: Vec<u32> = shards.iter().map(|s| s.len() as u32).collect();
+        let writer = ShardWriter {
+            job: &self.job,
             id,
             scheme,
-            config.quantize_workers,
-            jobs,
-            kill,
-        )?;
-
-        let mut metas: Vec<ChunkMeta> = Vec::new();
-        let mut killed_hosts: Vec<u16> = Vec::new();
-        let mut unwritten: Vec<WorkItem> = Vec::new();
-        for outcome in outcomes {
-            metas.extend(outcome.chunks);
-            if outcome.killed {
-                killed_hosts.push(outcome.host);
-                unwritten.extend(outcome.unwritten);
-            }
-        }
-
-        // --- Pass 2: re-shard a dead host's leftovers onto survivors. ---
-        if !unwritten.is_empty() {
-            let survivors: Vec<u16> = (0..hosts as u16)
-                .filter(|h| !killed_hosts.contains(h))
-                .collect();
-            if survivors.is_empty() {
-                return Err(CnrError::Pipeline(
-                    "every writer host died mid-upload".into(),
-                ));
-            }
-            let mut next_seq: BTreeMap<u16, u32> = survivors
-                .iter()
-                .map(|&h| (h, planned[h as usize]))
-                .collect();
-            let mut reassigned: BTreeMap<u16, Vec<WorkItem>> = BTreeMap::new();
-            for (i, mut item) in unwritten.into_iter().enumerate() {
-                let adopter = survivors[i % survivors.len()];
-                let seq = next_seq.get_mut(&adopter).expect("adopter is a survivor");
-                item.shard = adopter;
-                item.seq = *seq;
-                *seq += 1;
-                reassigned.entry(adopter).or_default().push(item);
-            }
-            let rescue = run_pass(
-                &scheduler,
-                &quantize_nanos,
-                &self.job,
-                id,
-                scheme,
-                config.quantize_workers,
-                reassigned.into_iter().collect(),
-                None,
-            )?;
-            for outcome in rescue {
-                metas.extend(outcome.chunks);
-            }
-        }
+            scheduler: &scheduler,
+            quantize_nanos: &quantize_nanos,
+        };
+        let run = crate::hosts::run(&writer, config.quantize_workers, shards, kill, |adopter, item| {
+            item.shard = adopter;
+            item.seq = next_seq[adopter as usize];
+            next_seq[adopter as usize] += 1;
+        })?;
+        let mut metas: Vec<ChunkMeta> = run.outputs.into_iter().flat_map(|(_, m)| m).collect();
 
         // Deterministic order: keys embed (shard, seq) zero-padded.
         metas.sort_by(|a, b| a.key.cmp(&b.key));
@@ -287,77 +228,15 @@ impl<'a> CheckpointWriter<'a> {
             quantize_cpu_time: Duration::from_nanos(quantize_nanos.load(Ordering::Relaxed)),
             wall_time: wall_start.elapsed(),
             parts,
-            killed_hosts,
+            killed_hosts: run.killed,
         })
     }
-}
-
-/// Runs a set of per-host shard jobs on at most `workers` threads.
-#[allow(clippy::too_many_arguments)]
-fn run_pass(
-    scheduler: &UploadScheduler<'_>,
-    quantize_nanos: &AtomicU64,
-    job: &str,
-    id: CheckpointId,
-    scheme: QuantScheme,
-    workers: usize,
-    jobs: Vec<(u16, Vec<WorkItem>)>,
-    kill: Option<HostKill>,
-) -> Result<Vec<ShardOutcome>> {
-    let n_jobs = jobs.len();
-    // The quantize-worker budget spreads over both levels: up to
-    // min(workers, hosts) shard writers run concurrently, and each splits
-    // its remaining share into a chunk-level pipeline — so a single-host
-    // write still quantizes on all `workers` threads.
-    let threads_per_shard = (workers / n_jobs.max(1)).max(1);
-    let (job_tx, job_rx) = channel::unbounded::<(u16, Vec<WorkItem>, Option<u32>)>();
-    for (host, items) in jobs {
-        let kill_after = kill
-            .filter(|k| k.host == host)
-            .map(|k| k.after_chunks);
-        job_tx
-            .send((host, items, kill_after))
-            .expect("receiver alive");
-    }
-    drop(job_tx);
-
-    // Unbounded: outcomes are collected only after the scope joins, so a
-    // bounded channel could deadlock with more shards than its capacity.
-    let (out_tx, out_rx) = channel::unbounded::<Result<ShardOutcome>>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(n_jobs).max(1) {
-            let job_rx = job_rx.clone();
-            let out_tx = out_tx.clone();
-            let writer = ShardWriter {
-                job,
-                id,
-                scheme,
-                scheduler,
-                quantize_nanos,
-            };
-            scope.spawn(move || {
-                while let Ok((host, items, kill_after)) = job_rx.recv() {
-                    let outcome = writer.run(host, items, kill_after, threads_per_shard);
-                    if out_tx.send(outcome).is_err() {
-                        return; // collector gone; abort quietly
-                    }
-                }
-            });
-        }
-    });
-    drop(out_tx);
-
-    let mut outcomes = Vec::with_capacity(n_jobs);
-    for result in out_rx.iter() {
-        outcomes.push(result?);
-    }
-    outcomes.sort_by_key(|o| o.host);
-    Ok(outcomes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CnrError;
     use crate::manifest::CheckpointKind;
     use crate::policy::{Decision, TrackerAction};
     use crate::restore;
@@ -658,13 +537,14 @@ mod tests {
             after_chunks: 1,
         };
         let rec = writer
-            .write_with_failures(
+            .write_overlapping(
                 &snap,
                 CheckpointId(0),
                 None,
                 QuantScheme::Fp32,
                 &cfg,
                 Some(kill),
+                Duration::ZERO,
             )
             .unwrap();
         assert_eq!(rec.killed_hosts, vec![2]);
@@ -694,7 +574,7 @@ mod tests {
             writer_hosts: 1,
             ..Default::default()
         };
-        let result = writer.write_with_failures(
+        let result = writer.write_overlapping(
             &snap,
             CheckpointId(0),
             None,
@@ -704,6 +584,7 @@ mod tests {
                 host: 0,
                 after_chunks: 0,
             }),
+            Duration::ZERO,
         );
         assert!(matches!(result, Err(CnrError::Pipeline(_))));
     }
